@@ -113,32 +113,32 @@ int Run(int argc, char** argv) {
     ImageTemplateCache cache;
     StormOptions storm_opts;
     storm_opts.vms = vms;
-    storm_opts.rando = rando;
-    storm_opts.expected_checksum = info.expected_checksum;
-    storm_opts.cache = &cache;
+    storm_opts.vm.rando = rando;
+    storm_opts.supervisor.expected_checksum = info.expected_checksum;
+    storm_opts.vm.template_cache = &cache;
 
     // Serial baseline: one at a time, template rebuilt per boot.
     storm_opts.launch_only = true;
-    storm_opts.use_template_cache = false;
+    storm_opts.vm.use_template_cache = false;
     storm_opts.threads = 1;
     rows[m].serial = bench::CheckOk(
         RunBootStorm(ByteSpan(info.vmlinux), ByteSpan(relocs_blob), storm_opts), "serial");
 
     // Warm launch storm.
-    storm_opts.use_template_cache = true;
+    storm_opts.vm.use_template_cache = true;
     storm_opts.threads = threads;
     rows[m].launch = bench::CheckOk(
         RunBootStorm(ByteSpan(info.vmlinux), ByteSpan(relocs_blob), storm_opts), "launch storm");
 
     // Full boots, legacy interpreter: the decode-cache ablation baseline.
     storm_opts.launch_only = false;
-    storm_opts.use_block_cache = false;
+    storm_opts.vm.use_block_cache = false;
     rows[m].full_legacy = bench::CheckOk(
         RunBootStorm(ByteSpan(info.vmlinux), ByteSpan(relocs_blob), storm_opts), "legacy storm");
 
     // Full boots, block engine + storm-wide shared decode cache: guest init
     // + checksum + density + the decode-cache sharing census.
-    storm_opts.use_block_cache = true;
+    storm_opts.vm.use_block_cache = true;
     rows[m].full = bench::CheckOk(
         RunBootStorm(ByteSpan(info.vmlinux), ByteSpan(relocs_blob), storm_opts), "full storm");
 
@@ -177,11 +177,11 @@ int Run(int argc, char** argv) {
     StormOptions pool_opts;
     pool_opts.vms = vms;
     pool_opts.threads = threads;
-    pool_opts.rando = RandoMode::kFgKaslr;
-    pool_opts.expected_checksum = fg_checksum;
-    pool_opts.cache = &pool_cache;
+    pool_opts.vm.rando = RandoMode::kFgKaslr;
+    pool_opts.supervisor.expected_checksum = fg_checksum;
+    pool_opts.vm.template_cache = &pool_cache;
     pool_opts.launch_only = true;
-    pool_opts.layout_pool_depth = vms;
+    pool_opts.vm.layout_pool_depth = vms;
     pooled = bench::CheckOk(RunBootStorm(ByteSpan(fg_vmlinux), ByteSpan(fg_relocs), pool_opts),
                             "pooled storm");
   }
@@ -215,13 +215,13 @@ int Run(int argc, char** argv) {
     StormOptions fault_opts;
     fault_opts.vms = vms;
     fault_opts.threads = threads;
-    fault_opts.rando = RandoMode::kKaslr;
-    fault_opts.expected_checksum = kaslr_checksum;
-    fault_opts.cache = &fault_cache;
+    fault_opts.vm.rando = RandoMode::kKaslr;
+    fault_opts.supervisor.expected_checksum = kaslr_checksum;
+    fault_opts.vm.template_cache = &fault_cache;
     fault_opts.supervise = true;
-    fault_opts.max_retries = 2;
-    fault_opts.watchdog_wall_ms = 10000;  // generous: records the knob, never trips
-    fault_opts.degrade = DegradePolicy::kLadder;
+    fault_opts.supervisor.max_retries = 2;
+    fault_opts.supervisor.watchdog_wall_ms = 10000;  // generous: records the knob, never trips
+    fault_opts.supervisor.policy = DegradePolicy::kLadder;
     FaultScope faults(plan);
     faulted = bench::CheckOk(
         RunBootStorm(ByteSpan(kaslr_vmlinux), ByteSpan(kaslr_relocs), fault_opts), "fault storm");
@@ -272,12 +272,12 @@ int Run(int argc, char** argv) {
     StormOptions churn_opts;
     churn_opts.vms = vms;
     churn_opts.threads = threads;
-    churn_opts.rando = RandoMode::kFgKaslr;
-    churn_opts.expected_checksum = fg_checksum;
-    churn_opts.cache = &churn_cache;
-    churn_opts.layout_pool_depth = vms;
+    churn_opts.vm.rando = RandoMode::kFgKaslr;
+    churn_opts.supervisor.expected_checksum = fg_checksum;
+    churn_opts.vm.template_cache = &churn_cache;
+    churn_opts.vm.layout_pool_depth = vms;
     churn_opts.churn_cycles = kChurnCycles;
-    churn_opts.governor = &churn_governor;
+    churn_opts.vm.mem_governor = &churn_governor;
     churn = bench::CheckOk(RunBootStorm(ByteSpan(fg_vmlinux), ByteSpan(fg_relocs), churn_opts),
                            "churn storm");
   }
@@ -368,9 +368,9 @@ int Run(int argc, char** argv) {
       StormOptions lane_opts;
       lane_opts.vms = vms;
       lane_opts.threads = threads;
-      lane_opts.rando = RandoMode::kKaslr;
-      lane_opts.expected_checksum = kaslr_checksum;
-      lane_opts.cache = &lane_cache;
+      lane_opts.vm.rando = RandoMode::kKaslr;
+      lane_opts.supervisor.expected_checksum = kaslr_checksum;
+      lane_opts.vm.template_cache = &lane_cache;
       lane_opts.keep_layouts = true;
       if (traced) {
         trace::Tracer::Instance().Start();

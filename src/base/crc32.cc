@@ -1,5 +1,6 @@
 #include "src/base/crc32.h"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 
@@ -55,5 +56,29 @@ uint32_t Crc32Update(uint32_t crc, ByteSpan data) {
 }
 
 uint32_t Crc32(ByteSpan data) { return Crc32Update(0, data); }
+
+std::vector<uint32_t> StampChunkCrcs(ByteSpan data) {
+  std::vector<uint32_t> crcs;
+  crcs.reserve((data.size() + kCrcChunkBytes - 1) / kCrcChunkBytes);
+  for (uint64_t offset = 0; offset < data.size(); offset += kCrcChunkBytes) {
+    crcs.push_back(Crc32(data.subspan(offset, std::min(kCrcChunkBytes, data.size() - offset))));
+  }
+  return crcs;
+}
+
+bool ChunkCrcOk(ByteSpan data, const std::vector<uint32_t>& crcs, size_t index) {
+  const uint64_t offset = index * kCrcChunkBytes;
+  return Crc32(data.subspan(offset, std::min(kCrcChunkBytes, data.size() - offset))) ==
+         crcs[index];
+}
+
+bool AllChunkCrcsOk(ByteSpan data, const std::vector<uint32_t>& crcs) {
+  for (size_t i = 0; i < crcs.size(); ++i) {
+    if (!ChunkCrcOk(data, crcs, i)) {
+      return false;
+    }
+  }
+  return true;
+}
 
 }  // namespace imk

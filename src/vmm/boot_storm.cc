@@ -65,16 +65,22 @@ void CensusImageFrames(const FrameStore& frames, uint64_t phys_base, uint64_t im
   }
 }
 
-void RecordGuestBlockCache(const ExecStats& guest, BootSample* sample) {
-  sample->block_cache_hits = guest.block_cache_hits;
-  sample->block_cache_misses = guest.block_cache_misses;
-  sample->block_cache_invalidations = guest.block_cache_invalidations;
-  sample->blocks_shared = guest.blocks_shared;
-  sample->blocks_private = guest.blocks_private;
-}
-
 // Every measured launch lands in exactly one of these buckets.
 enum class LaunchBucket { kOkFirstTry, kOkRetried, kOkDegraded, kFailed, kRejectedMem };
+
+LaunchBucket BucketOf(const BootOutcome& outcome) {
+  if (!outcome.ok) {
+    // A launch whose EVERY attempt bounced at the hard watermark never got
+    // to boot at all: that is backpressure, not a boot failure.
+    return outcome.attempts > 0 && outcome.mem_rejections == outcome.attempts
+               ? LaunchBucket::kRejectedMem
+               : LaunchBucket::kFailed;
+  }
+  if (outcome.degradations > 0) {
+    return LaunchBucket::kOkDegraded;
+  }
+  return outcome.attempts > 1 ? LaunchBucket::kOkRetried : LaunchBucket::kOkFirstTry;
+}
 
 // Process-wide fleet counters, registered once. The storm's per-run tally
 // and these cumulative counters are bumped by the same RecordLaunchOutcome
@@ -168,7 +174,8 @@ Result<StormStats> RunBootStorm(ByteSpan vmlinux, ByteSpan relocs_blob,
   if (options.vms == 0 || options.threads == 0) {
     return InvalidArgumentError("storm needs at least one VM and one thread");
   }
-  if (options.rando != RandoMode::kNone && relocs_blob.empty()) {
+  const MicroVmConfig& spec = options.vm;
+  if (spec.rando != RandoMode::kNone && relocs_blob.empty()) {
     return FailedPreconditionError("randomized storm needs relocation info (Figure 8)");
   }
   const uint32_t threads = std::min(options.threads, options.vms);
@@ -178,21 +185,15 @@ Result<StormStats> RunBootStorm(ByteSpan vmlinux, ByteSpan relocs_blob,
   const uint32_t cycles = std::max(1u, options.churn_cycles);
   const uint32_t total_launches = options.vms * cycles;
 
-  // Fleet memory governor. Declared before every cache so it is destroyed
-  // LAST: cache teardown releases its charges into live adapters. Hooks are
+  // Fleet memory governor, owned by the caller and so alive past every cache
+  // below: cache teardown releases its charges into live adapters. Hooks are
   // unregistered by `hook_guard` below before any cache dies.
-  std::unique_ptr<MemGovernor> local_governor;
-  MemGovernor* governor = options.governor;
-  if (governor == nullptr && options.mem_budget_bytes > 0) {
-    MemGovernorOptions governor_options;
-    governor_options.budget_bytes = options.mem_budget_bytes;
-    governor_options.soft_pct = options.mem_soft_pct;
-    local_governor = std::make_unique<MemGovernor>(governor_options);
-    governor = local_governor.get();
-  }
+  MemGovernor* governor = spec.mem_governor;
 
+  // A null template cache means one private to this storm, not the
+  // process-global cache: each storm's hit/miss counts are its own.
   ImageTemplateCache local_cache;
-  ImageTemplateCache& cache = options.cache != nullptr ? *options.cache : local_cache;
+  ImageTemplateCache& cache = spec.template_cache != nullptr ? *spec.template_cache : local_cache;
   const uint64_t hits_before = cache.hits();
   const uint64_t misses_before = cache.misses();
   const uint64_t quarantined_before = cache.quarantined();
@@ -215,7 +216,7 @@ Result<StormStats> RunBootStorm(ByteSpan vmlinux, ByteSpan relocs_blob,
   // Launch-only boots bypass Storage and read the caller's span directly
   // (stable address -> the cache's span memo short-circuits the hash).
   RelocInfo relocs;
-  const bool pool_enabled = options.layout_pool_depth > 0 && options.rando != RandoMode::kNone;
+  const bool pool_enabled = spec.layout_pool_depth > 0 && spec.rando != RandoMode::kNone;
   if ((options.launch_only || pool_enabled) && !relocs_blob.empty()) {
     IMK_ASSIGN_OR_RETURN(relocs, ParseRelocs(relocs_blob));
   }
@@ -231,7 +232,7 @@ Result<StormStats> RunBootStorm(ByteSpan vmlinux, ByteSpan relocs_blob,
   // before the warm-up wave — the warm cache IS the fleet steady state the
   // measured window models, exactly like the template cache above.
   std::unique_ptr<SharedBlockCache> shared_blocks;
-  if (options.use_block_cache && options.share_block_cache && !options.launch_only) {
+  if (spec.use_block_cache && !options.launch_only) {
     shared_blocks = std::make_unique<SharedBlockCache>();
   }
 
@@ -270,23 +271,17 @@ Result<StormStats> RunBootStorm(ByteSpan vmlinux, ByteSpan relocs_blob,
   }
 
   const auto make_config = [&](uint64_t seed) {
-    MicroVmConfig config;
-    config.mem_size_bytes = options.mem_size_bytes;
+    MicroVmConfig config = spec;
     config.kernel_image = "vmlinux";
-    if (!relocs_blob.empty()) {
-      config.relocs_image = "vmlinux.relocs";
-    }
-    config.rando = options.rando;
+    config.relocs_image = relocs_blob.empty() ? "" : "vmlinux.relocs";
     config.seed = seed;
-    config.load_threads = options.load_threads;
-    config.use_template_cache = options.use_template_cache;
     config.template_cache = &cache;
-    config.use_block_cache = options.use_block_cache;
     config.shared_block_cache = shared_blocks.get();
-    config.mem_governor = governor;
     // Null during warm-up (the pool is built from the warmed cache); the
-    // measured window shares one pool across every VM.
+    // measured window shares one pool across every VM. Depth 0 keeps a
+    // warm-up VM from rendering a private pool of its own.
     config.layout_pool = layout_pool.get();
+    config.layout_pool_depth = 0;
     return config;
   };
 
@@ -311,43 +306,61 @@ Result<StormStats> RunBootStorm(ByteSpan vmlinux, ByteSpan relocs_blob,
   std::atomic<uint64_t> image_frames{0};
   std::atomic<uint64_t> image_bytes{0};
 
+  // The one place a finished launch becomes a sample, for every lane.
+  // Stored from warm-up boots too: the admission gate sizes a launch by the
+  // last observed image span.
+  const auto capture = [&](GuestMemory& memory, const BootReport& report, uint64_t latency_ns,
+                           BootSample* sample) {
+    image_frames.store(report.mem.image_frames, std::memory_order_relaxed);
+    image_bytes.store(report.mem.image_frames * FrameStore::kFrameBytes,
+                      std::memory_order_relaxed);
+    if (sample == nullptr) {
+      return;
+    }
+    sample->latency_ns = latency_ns;
+    sample->resident_bytes = memory.dirty_bytes();
+    sample->pool_hit = report.layout_pool_hit;
+    sample->layout.virt_slide = report.choice.virt_slide;
+    sample->layout.phys_load_addr = report.choice.phys_load_addr;
+    sample->layout.fg_digest = report.fg_digest;
+    sample->block_cache_hits = report.guest_stats.block_cache_hits;
+    sample->block_cache_misses = report.guest_stats.block_cache_misses;
+    sample->block_cache_invalidations = report.guest_stats.block_cache_invalidations;
+    sample->blocks_shared = report.guest_stats.blocks_shared;
+    sample->blocks_private = report.guest_stats.blocks_private;
+    CensusImageFrames(memory.frames(), report.choice.phys_load_addr, report.mem.image_frames,
+                      sample);
+  };
+
   // Launch lane: the monitor-side launch pipeline only (what the host pays
   // per VM), straight through DirectLoadKernel against a fresh CoW memory.
+  const DirectBootParams launch_params = DirectBootParamsFor(spec, /*usable_mem_limit=*/0);
   const auto launch_one = [&](uint64_t seed, BootSample* sample,
                               Bytes* kernel_region) -> Status {
-    GuestMemory memory(options.mem_size_bytes);
+    GuestMemory memory(spec.mem_size_bytes);
     if (governor != nullptr) {
       // Launch-only VMs bypass MicroVm, so charge their dirty frames here.
       memory.frames().set_accountant(governor->shared_accountant(MemCategory::kGuestFrames));
     }
     Rng rng(seed);
-    DirectBootParams params;
-    params.requested = options.rando;
     DirectLoadResources resources;
-    if (options.use_template_cache) {
+    if (spec.use_template_cache) {
       resources.cache = &cache;
     }
     resources.layout_pool = layout_pool.get();
     const RelocInfo* relocs_ptr = relocs.empty() ? nullptr : &relocs;
     Stopwatch timer;
-    IMK_ASSIGN_OR_RETURN(LoadedKernel loaded,
-                         DirectLoadKernel(memory, vmlinux, relocs_ptr, params, rng, resources));
-    // Stored from warm-up boots too: the admission gate sizes a launch by
-    // the last observed image span.
-    image_frames.store(loaded.mem.image_frames, std::memory_order_relaxed);
-    image_bytes.store(loaded.mem.image_frames * FrameStore::kFrameBytes,
-                      std::memory_order_relaxed);
-    if (sample != nullptr) {
-      sample->latency_ns = timer.ElapsedNs();
-      sample->resident_bytes = memory.dirty_bytes();
-      sample->pool_hit = loaded.layout_pool_hit;
-      sample->layout.virt_slide = loaded.choice.virt_slide;
-      sample->layout.phys_load_addr = loaded.choice.phys_load_addr;
-      sample->layout.fg_digest =
-          loaded.fg.has_value() ? loaded.fg->map.PermutationDigest() : 0;
-      CensusImageFrames(memory.frames(), loaded.choice.phys_load_addr,
-                        loaded.mem.image_frames, sample);
-    }
+    IMK_ASSIGN_OR_RETURN(
+        LoadedKernel loaded,
+        DirectLoadKernel(memory, vmlinux, relocs_ptr, launch_params, rng, resources));
+    const uint64_t latency_ns = timer.ElapsedNs();
+    // The monitor's report of a launch that ran no guest.
+    BootReport report;
+    report.choice = loaded.choice;
+    report.mem = loaded.mem;
+    report.layout_pool_hit = loaded.layout_pool_hit;
+    report.fg_digest = loaded.fg.has_value() ? loaded.fg->map.PermutationDigest() : 0;
+    capture(memory, report, latency_ns, sample);
     if (kernel_region != nullptr) {
       IMK_ASSIGN_OR_RETURN(
           *kernel_region, memory.CopyRange(loaded.choice.phys_load_addr, loaded.image_mem_size));
@@ -356,107 +369,59 @@ Result<StormStats> RunBootStorm(ByteSpan vmlinux, ByteSpan relocs_blob,
   };
 
   // Full lane: Boot() through the monitor, guest init included, checksum
-  // verified — the correctness and density view of the same storm.
+  // verified — the correctness and density view of the same storm. A
+  // supervised boot runs through BootSupervisor instead: per-VM failures
+  // become tallies, not storm aborts.
+  const bool supervise = options.supervise && !options.launch_only;
+  race::Mutex tally_mutex{race::LockRank::kStormTally};
   const auto boot_one = [&](Storage& storage, uint64_t seed, BootSample* sample,
-                            Bytes* kernel_region) -> Status {
+                            Bytes* kernel_region, bool measured) -> Status {
     if (options.launch_only) {
       return launch_one(seed, sample, kernel_region);
     }
-    MicroVm vm(storage, make_config(seed));
-    Stopwatch timer;
-    IMK_ASSIGN_OR_RETURN(BootReport report, vm.Boot());
-    const uint64_t latency_ns = timer.ElapsedNs();
-    if (!report.init_done) {
-      return InternalError("storm boot did not reach init completion");
-    }
-    if (options.expected_checksum != 0 && report.init_checksum != options.expected_checksum) {
-      return InternalError("storm boot checksum mismatch (nondeterministic layout?)");
-    }
-    image_frames.store(report.mem.image_frames, std::memory_order_relaxed);
-    image_bytes.store(report.mem.image_frames * FrameStore::kFrameBytes,
-                      std::memory_order_relaxed);
-    if (sample != nullptr) {
-      sample->latency_ns = latency_ns;
-      sample->resident_bytes = vm.memory().dirty_bytes();
-      sample->pool_hit = report.layout_pool_hit;
-      sample->layout.virt_slide = report.choice.virt_slide;
-      sample->layout.phys_load_addr = report.choice.phys_load_addr;
-      sample->layout.fg_digest = report.fg_digest;
-      RecordGuestBlockCache(report.guest_stats, sample);
-      CensusImageFrames(vm.memory().frames(), report.choice.phys_load_addr,
-                        report.mem.image_frames, sample);
-    }
-    if (kernel_region != nullptr) {
-      IMK_ASSIGN_OR_RETURN(*kernel_region, vm.KernelRegion());
-    }
-    return OkStatus();
-  };
-
-  // Supervised lane: per-VM failures become tallies, not storm aborts.
-  race::Mutex tally_mutex{race::LockRank::kStormTally};
-  const auto supervise_one = [&](Storage& storage, uint64_t seed, BootSample* sample,
-                                 Bytes* kernel_region, bool measured) -> Status {
-    SupervisorOptions sup;
-    sup.max_retries = options.max_retries;
-    sup.watchdog_wall_ms = options.watchdog_wall_ms;
-    sup.watchdog_instructions = options.watchdog_instructions;
-    sup.policy = options.degrade;
-    sup.admit_wait_ms = options.admit_wait_ms;
-    if (options.expected_checksum != 0) {
-      sup.expected_checksum = options.expected_checksum;
-    }
-    BootSupervisor supervisor(storage, make_config(seed), sup);
-    Stopwatch timer;
-    BootOutcome outcome = supervisor.Run();
-    const uint64_t latency_ns = timer.ElapsedNs();
-    if (measured) {
-      LaunchBucket bucket;
+    std::optional<MicroVm> plain_vm;
+    std::optional<BootSupervisor> supervisor;
+    MicroVm* vm = nullptr;
+    BootReport report;
+    uint64_t latency_ns = 0;
+    if (supervise) {
+      supervisor.emplace(storage, make_config(seed), options.supervisor);
+      Stopwatch timer;
+      BootOutcome outcome = supervisor->Run();
+      latency_ns = timer.ElapsedNs();
+      if (measured) {
+        std::lock_guard<race::Mutex> lock(tally_mutex);
+        IMK_RACE_SHARED_WRITE("supervisor.outcomes", &stats, 0, kStormTally);
+        RecordLaunchOutcome(&stats.outcomes, BucketOf(outcome), 1, outcome.attempts,
+                            outcome.watchdog_trips, outcome.mem_rejections);
+      }
       if (!outcome.ok) {
-        // A launch whose EVERY attempt bounced at the hard watermark never
-        // got to boot at all: that is backpressure, not a boot failure.
-        bucket = outcome.attempts > 0 && outcome.mem_rejections == outcome.attempts
-                     ? LaunchBucket::kRejectedMem
-                     : LaunchBucket::kFailed;
-      } else if (outcome.degradations > 0) {
-        bucket = LaunchBucket::kOkDegraded;
-      } else if (outcome.attempts > 1) {
-        bucket = LaunchBucket::kOkRetried;
-      } else {
-        bucket = LaunchBucket::kOkFirstTry;
+        if (sample != nullptr) {
+          sample->booted = false;
+        }
+        return OkStatus();  // counted; the storm carries on
       }
-      std::lock_guard<race::Mutex> lock(tally_mutex);
-      IMK_RACE_SHARED_WRITE("supervisor.outcomes", &stats, 0, kStormTally);
-      RecordLaunchOutcome(&stats.outcomes, bucket, 1, outcome.attempts,
-                          outcome.watchdog_trips, outcome.mem_rejections);
-    }
-    if (!outcome.ok) {
-      if (sample != nullptr) {
-        sample->booted = false;
+      vm = supervisor->vm();
+      report = std::move(*outcome.report);
+    } else {
+      vm = &plain_vm.emplace(storage, make_config(seed));
+      Stopwatch timer;
+      IMK_ASSIGN_OR_RETURN(report, vm->Boot());
+      latency_ns = timer.ElapsedNs();
+      if (!report.init_done) {
+        return InternalError("storm boot did not reach init completion");
       }
-      return OkStatus();  // counted; the storm carries on
+      const std::optional<uint64_t>& expected = options.supervisor.expected_checksum;
+      if (expected.has_value() && report.init_checksum != *expected) {
+        return InternalError("storm boot checksum mismatch (nondeterministic layout?)");
+      }
     }
-    MicroVm& vm = *supervisor.vm();
-    const BootReport& report = *outcome.report;
-    image_frames.store(report.mem.image_frames, std::memory_order_relaxed);
-    image_bytes.store(report.mem.image_frames * FrameStore::kFrameBytes,
-                      std::memory_order_relaxed);
-    if (sample != nullptr) {
-      sample->latency_ns = latency_ns;
-      sample->resident_bytes = vm.memory().dirty_bytes();
-      sample->pool_hit = report.layout_pool_hit;
-      sample->layout.virt_slide = report.choice.virt_slide;
-      sample->layout.phys_load_addr = report.choice.phys_load_addr;
-      sample->layout.fg_digest = report.fg_digest;
-      RecordGuestBlockCache(report.guest_stats, sample);
-      CensusImageFrames(vm.memory().frames(), report.choice.phys_load_addr,
-                        report.mem.image_frames, sample);
-    }
+    capture(vm->memory(), report, latency_ns, sample);
     if (kernel_region != nullptr) {
-      IMK_ASSIGN_OR_RETURN(*kernel_region, vm.KernelRegion());
+      IMK_ASSIGN_OR_RETURN(*kernel_region, vm->KernelRegion());
     }
     return OkStatus();
   };
-  const bool supervise = options.supervise && !options.launch_only;
 
   // ---- warm-up: prime the template cache and page-cache models ----
   // The first wave deliberately races every worker into the same cache key,
@@ -469,10 +434,7 @@ Result<StormStats> RunBootStorm(ByteSpan vmlinux, ByteSpan relocs_blob,
         for (uint32_t w = 0; w < options.warmup_per_thread; ++w) {
           const uint64_t seed = options.seed_base + total_launches +
                                 static_cast<uint64_t>(t) * options.warmup_per_thread + w;
-          Status status = supervise
-                              ? supervise_one(*storages[t], seed, nullptr, nullptr,
-                                              /*measured=*/false)
-                              : boot_one(*storages[t], seed, nullptr, nullptr);
+          Status status = boot_one(*storages[t], seed, nullptr, nullptr, /*measured=*/false);
           if (!status.ok()) {
             record_error(std::move(status));
             return;
@@ -498,21 +460,20 @@ Result<StormStats> RunBootStorm(ByteSpan vmlinux, ByteSpan relocs_blob,
     TemplateOptions template_options;  // storms carry sidecar relocs, never ELF-extracted
     IMK_ASSIGN_OR_RETURN(std::shared_ptr<const ImageTemplate> tmpl,
                          cache.GetOrBuild(vmlinux, template_options));
-    DirectBootParams pool_params;
-    pool_params.requested = options.rando;
-    uint64_t guest_mem = options.mem_size_bytes;
+    uint64_t guest_mem = spec.mem_size_bytes;
     if (!options.launch_only) {
       // Full-lane boots bound the offset chooser by the device model's RAM
       // reservation; probe it on scratch memory so the pool key matches.
-      GuestMemory scratch(options.mem_size_bytes);
+      GuestMemory scratch(spec.mem_size_bytes);
       IMK_ASSIGN_OR_RETURN(DeviceModel probe,
                            DeviceModel::Create(scratch, DeviceModelConfig::Firecracker()));
       guest_mem = probe.reserved_floor_phys();
-      pool_params.usable_mem_limit = guest_mem;
     }
+    const DirectBootParams pool_params =
+        DirectBootParamsFor(spec, options.launch_only ? 0 : guest_mem);
     LayoutPoolOptions pool_options;
-    pool_options.depth = options.layout_pool_depth;
-    pool_options.refill_batch = options.layout_pool_refill_batch;
+    pool_options.depth = spec.layout_pool_depth;
+    pool_options.refill_batch = spec.layout_pool_refill_batch;
     pool_options.seed = options.seed_base;
     if (governor != nullptr) {
       pool_options.accountant = governor->shared_accountant(MemCategory::kLayoutRenders);
@@ -525,7 +486,7 @@ Result<StormStats> RunBootStorm(ByteSpan vmlinux, ByteSpan relocs_blob,
     hook_guard.Register(layout_pool.get(), /*priority=*/0);
     // A prefill error (pool.refill:error drills this) just starts the pool
     // shallower: launches fall back inline, the miss tally records it.
-    (void)layout_pool->Prefill(options.layout_pool_depth);
+    (void)layout_pool->Prefill(spec.layout_pool_depth);
     layout_pool->WaitIdle();
     pool_before = layout_pool->stats();
   }
@@ -565,7 +526,7 @@ Result<StormStats> RunBootStorm(ByteSpan vmlinux, ByteSpan relocs_blob,
           // image span and wait out the hard watermark; a bounce is an
           // accounted launch that never booted, not a storm abort.
           const uint64_t need = image_bytes.load(std::memory_order_relaxed);
-          if (!governor->Admit(need, options.admit_wait_ms)) {
+          if (!governor->Admit(need, options.supervisor.admit_wait_ms)) {
             samples[i].booted = false;
             std::lock_guard<race::Mutex> lock(tally_mutex);
             IMK_RACE_SHARED_WRITE("supervisor.outcomes", &stats, 0, kStormTally);
@@ -575,10 +536,8 @@ Result<StormStats> RunBootStorm(ByteSpan vmlinux, ByteSpan relocs_blob,
             continue;
           }
         }
-        Status status = supervise
-                            ? supervise_one(*storages[t], options.seed_base + i, &samples[i],
-                                            region, /*measured=*/true)
-                            : boot_one(*storages[t], options.seed_base + i, &samples[i], region);
+        Status status =
+            boot_one(*storages[t], options.seed_base + i, &samples[i], region, /*measured=*/true);
         if (!status.ok()) {
           record_error(std::move(status));
           return;

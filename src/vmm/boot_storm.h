@@ -22,27 +22,23 @@
 #include "src/race/annotations.h"
 #include "src/verify/layout_uniqueness.h"
 #include "src/vmm/boot_supervisor.h"
-#include "src/vmm/image_template.h"
 #include "src/vmm/mem_governor.h"
 
 namespace imk {
 
+// A storm is N launches of one launch spec: the storm's own shape (how many
+// VMs, how many workers, seeds, lanes, what to capture) plus the MicroVmConfig
+// every VM boots with and the SupervisorOptions that govern a supervised
+// boot. Fields of `vm` the storm owns per launch — kernel_image,
+// relocs_image, seed, template_cache, shared_block_cache, layout_pool — are
+// overwritten for each VM, and each VM's own layout_pool_depth is zeroed
+// (the storm's shared pool replaces per-VM private pools).
 struct StormOptions {
   uint32_t vms = 16;
   uint32_t threads = 4;
-  RandoMode rando = RandoMode::kNone;
-  uint64_t mem_size_bytes = 256ull << 20;
   // VM i boots with seed seed_base + i; warm-up boots draw from past the
   // measured range so they never alias a measured layout.
   uint64_t seed_base = 1;
-  uint32_t load_threads = 1;  // per-VM pipeline lanes (storm parallelism is across VMs)
-  // Guest init checksum each boot must reproduce (0 = skip verification).
-  uint64_t expected_checksum = 0;
-  // Capture every VM's kernel-image window (determinism tests; costly).
-  bool keep_kernel_regions = false;
-  // Template cache shared by all workers (null = one private to this storm).
-  // Pass the same cache across calls to measure warm-cache behaviour.
-  ImageTemplateCache* cache = nullptr;
   // Discarded per-thread boots before the measured window (warms the
   // template cache and the storage page-cache model).
   uint32_t warmup_per_thread = 1;
@@ -53,69 +49,52 @@ struct StormOptions {
   // afterwards burns the VM's own vCPU time, which the interpreter would
   // otherwise simulate on the host and drown the monitor numbers in.
   bool launch_only = false;
-  // false = rebuild the template every boot (the un-amortized per-boot
-  // parse+render pipeline, i.e. the serial fleet baseline).
-  bool use_template_cache = true;
-
-  // ---- ahead-of-time layout pool ----
-  // 0 = no pool. When > 0 and the storm randomizes, one shared LayoutPool is
-  // built AFTER the warm-up wave (from the warm template-cache entry),
-  // prefilled to this depth, and offered to every measured launch; a
-  // background refill executor renders replacements while the storm runs.
-  // Which VM grabs which layout is scheduling-dependent, but every layout is
-  // unique (one-shot handout) and guest init checksums are layout-
-  // independent, so determinism checks still hold. Per-VM hit/miss tallies
-  // land in StormStats.
-  uint32_t layout_pool_depth = 0;
-  uint32_t layout_pool_refill_batch = 2;
-  // Capture every booted VM's layout identity (slide, FG permutation digest)
-  // for the cross-VM uniqueness check (src/verify/layout_uniqueness.h).
-  bool keep_layouts = false;
-
-  // ---- predecoded block engine ----
-  // false = every VM runs the legacy per-instruction interpreter (the
-  // decode-cache ablation baseline; `imk_tool storm --no-block-cache`).
-  bool use_block_cache = true;
-  // When the block engine is on, share one storm-wide SharedBlockCache
-  // across every VM: blocks decoded from shared (template-aliased) frames
-  // are decoded once per fleet instead of once per VM — the decode-cache
-  // analogue of CoW page sharing. false keeps each VM's decodes private
-  // (isolates the per-VM caching win from the cross-VM sharing win).
-  bool share_block_cache = true;
-
-  // ---- churn + memory governance (long-running fleets) ----
   // Each VM slot is launched-and-halted this many times: the storm performs
   // vms * churn_cycles measured launches (seed_base + launch index), each one
   // a full boot-then-teardown, against the SAME shared caches — the
   // long-running-host lane where cache growth, not per-boot latency, is the
   // number that matters. 0 and 1 both mean the classic single-wave storm.
   uint32_t churn_cycles = 1;
-  // Process-wide byte budget for the fleet's shared state (guest frames,
-  // template images, layout renders, decode tables). > 0 builds a MemGovernor
-  // for this storm: soft watermark (mem_soft_pct) triggers the reclamation
-  // ladder, the hard watermark gates launch admission (bounded admit_wait_ms
-  // wait, then the launch is tallied rejected_mem). 0 = ungoverned.
-  uint64_t mem_budget_bytes = 0;
-  double mem_soft_pct = 0.75;
-  uint64_t admit_wait_ms = 50;
-  // External governor override (tests and multi-storm fleets); when set,
-  // mem_budget_bytes/mem_soft_pct are ignored and the caller keeps the
-  // governor alive past the storm. The storm registers its caches as
-  // reclamation tiers either way and unregisters them before they die.
-  MemGovernor* governor = nullptr;
+  // Capture every VM's kernel-image window (determinism tests; costly).
+  bool keep_kernel_regions = false;
+  // Capture every booted VM's layout identity (slide, FG permutation digest)
+  // for the cross-VM uniqueness check (src/verify/layout_uniqueness.h).
+  bool keep_layouts = false;
 
-  // ---- supervision (fault tolerance) ----
-  // When true, every (full-lane) boot runs through BootSupervisor: per-VM
-  // failures are tallied instead of aborting the storm, the watchdog bounds
-  // each attempt, and the degrade policy decides whether a VM may boot below
-  // the requested randomization level. Layouts stay deterministic in the
-  // per-VM seed: VM i's attempt seeds depend only on (seed_base + i, attempt
-  // index), never on which *other* VMs failed.
+  // The launch every VM gets. How the storm reads it:
+  // - vm.template_cache is shared by all workers; null means one cache
+  //   private to this storm (NOT the process-global cache). Pass the same
+  //   cache across calls to measure warm-cache behaviour.
+  //   vm.use_template_cache = false rebuilds the template every boot (the
+  //   un-amortized serial fleet baseline).
+  // - vm.layout_pool_depth > 0 on a randomized storm builds one shared
+  //   LayoutPool AFTER the warm-up wave (from the warm template-cache
+  //   entry), prefilled to that depth (background refill batches of
+  //   vm.layout_pool_refill_batch) and offered to every measured launch.
+  //   Which VM grabs which layout is scheduling-dependent, but every layout
+  //   is unique (one-shot handout) and guest init checksums are
+  //   layout-independent, so determinism checks still hold.
+  // - vm.use_block_cache also shares one storm-wide SharedBlockCache across
+  //   every full-lane VM: blocks decoded from shared (template-aliased)
+  //   frames are decoded once per fleet instead of once per VM. false runs
+  //   the legacy per-instruction interpreter (`storm --no-block-cache`).
+  // - vm.mem_governor, when set, governs the storm: the storm charges its
+  //   caches to it and registers them as reclamation tiers (unregistered
+  //   before they die), and its hard watermark gates launch admission. The
+  //   caller owns the governor and keeps it alive past the storm.
+  MicroVmConfig vm;
+
+  // Retry/watchdog/degrade policy. `supervise` routes every (full-lane)
+  // boot through BootSupervisor: per-VM failures are tallied instead of
+  // aborting the storm, the watchdog bounds each attempt, and the degrade
+  // policy decides whether a VM may boot below vm.rando. Layouts stay
+  // deterministic in the per-VM seed: VM i's attempt seeds depend only on
+  // (seed_base + i, attempt index), never on which *other* VMs failed.
+  // Both lanes honor supervisor.expected_checksum (a mismatch aborts an
+  // unsupervised storm) and supervisor.admit_wait_ms (the bounded wait at
+  // the governor's hard watermark before a launch is tallied rejected_mem).
   bool supervise = false;
-  uint32_t max_retries = 2;
-  uint64_t watchdog_wall_ms = 0;
-  uint64_t watchdog_instructions = 0;
-  DegradePolicy degrade = DegradePolicy::kLadder;
+  SupervisorOptions supervisor;
 };
 
 struct StormStats {
@@ -134,7 +113,7 @@ struct StormStats {
   uint64_t cache_hits = 0;    // template-cache counters across the whole storm
   uint64_t cache_misses = 0;
 
-  // Layout-pool tallies (zero when options.layout_pool_depth == 0). Hits and
+  // Layout-pool tallies (zero when options.vm.layout_pool_depth == 0). Hits and
   // misses are per measured VM; renders/errors/quarantines are pool-counter
   // deltas over the measured window, so pool_rendered_during is the refill
   // work that OVERLAPPED the storm (prefill renders are excluded).

@@ -95,17 +95,6 @@ uint64_t SampleFingerprint(ByteSpan span) {
   return h;
 }
 
-// Per-chunk CRCs over `data` at the cache's integrity granularity.
-std::vector<uint32_t> ChunkCrcs(ByteSpan data) {
-  constexpr uint64_t kChunk = ImageTemplateCache::kIntegrityChunkBytes;
-  std::vector<uint32_t> crcs;
-  crcs.reserve((data.size() + kChunk - 1) / kChunk);
-  for (uint64_t off = 0; off < data.size(); off += kChunk) {
-    crcs.push_back(Crc32(data.subspan(off, std::min(kChunk, data.size() - off))));
-  }
-  return crcs;
-}
-
 Result<std::shared_ptr<const ImageTemplate>> BuildTemplate(
     ByteSpan vmlinux, const TemplateOptions& options, uint32_t crc, bool stamp_integrity,
     std::shared_ptr<ByteAccountant> accountant) {
@@ -156,7 +145,7 @@ Result<std::shared_ptr<const ImageTemplate>> BuildTemplate(
     const ByteSpan pristine(tmpl->pristine);
     tmpl->pristine_crc32 = Crc32(pristine);
     tmpl->pristine_probe = SampleFingerprint(pristine);
-    tmpl->pristine_chunk_crcs = ChunkCrcs(pristine);
+    tmpl->pristine_chunk_crcs = StampChunkCrcs(pristine);
   }
   tmpl->mem_charge = ScopedMemCharge(std::move(accountant), tmpl->pristine.size());
   return std::shared_ptr<const ImageTemplate>(std::move(tmpl));
@@ -320,19 +309,8 @@ bool ImageTemplateCache::VerifyTemplate(const ImageTemplate& tmpl, uint64_t curs
     return true;  // unstamped (inline build); nothing to check against
   }
   const ByteSpan pristine(tmpl.pristine);
-  const size_t nchunks = tmpl.pristine_chunk_crcs.size();
-  const auto chunk_ok = [&](size_t c) {
-    const uint64_t off = c * kIntegrityChunkBytes;
-    const uint64_t len = std::min(kIntegrityChunkBytes, pristine.size() - off);
-    return Crc32(pristine.subspan(off, len)) == tmpl.pristine_chunk_crcs[c];
-  };
   if (mode == IntegrityMode::kFull) {
-    for (size_t c = 0; c < nchunks; ++c) {
-      if (!chunk_ok(c)) {
-        return false;
-      }
-    }
-    return true;
+    return AllChunkCrcsOk(pristine, tmpl.pristine_chunk_crcs);
   }
   // Sampled: the fingerprint (a few hundred bytes) guards every hit; the
   // rotating full-chunk CRC — the expensive probe — runs every stride-th hit
@@ -345,7 +323,9 @@ bool ImageTemplateCache::VerifyTemplate(const ImageTemplate& tmpl, uint64_t curs
   if (cursor % kSampledChunkStride != 0) {
     return true;
   }
-  return chunk_ok(static_cast<size_t>((cursor / kSampledChunkStride) % nchunks));
+  return ChunkCrcOk(pristine, tmpl.pristine_chunk_crcs,
+                    static_cast<size_t>((cursor / kSampledChunkStride) %
+                                        tmpl.pristine_chunk_crcs.size()));
 }
 
 void ImageTemplateCache::set_integrity_mode(IntegrityMode mode) {

@@ -72,7 +72,7 @@ struct ImageTemplate {
   // hit probe the shared buffer for bit-rot without re-hashing all of it.
   uint32_t pristine_crc32 = 0;
   uint64_t pristine_probe = 0;                // sampled-window fingerprint
-  std::vector<uint32_t> pristine_chunk_crcs;  // ImageTemplateCache::kIntegrityChunkBytes each
+  std::vector<uint32_t> pristine_chunk_crcs;  // kCrcChunkBytes each (src/base/crc32.h)
 
   // Governor charge for `pristine` (template-images category). Travels with
   // the template: evicting the cache entry while boots still pin the
@@ -93,9 +93,6 @@ Result<std::shared_ptr<const ImageTemplate>> BuildImageTemplate(ByteSpan vmlinux
 // them (true for read-only mapped kernel files).
 class ImageTemplateCache : public Reclaimable {
  public:
-  // Chunk granularity of the stored per-chunk CRCs (see IntegrityMode).
-  static constexpr uint64_t kIntegrityChunkBytes = 256 * 1024;
-
   // How thoroughly a hit re-verifies the stored template against its
   // build-time CRCs before serving it. The templates are the one buffer
   // every VM in the fleet aliases, so silent corruption there fans out.

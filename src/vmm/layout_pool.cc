@@ -13,18 +13,6 @@
 namespace imk {
 namespace {
 
-constexpr uint64_t kChunkBytes = ImageTemplateCache::kIntegrityChunkBytes;
-
-std::vector<uint32_t> StampChunkCrcs(ByteSpan image) {
-  std::vector<uint32_t> crcs;
-  crcs.reserve((image.size() + kChunkBytes - 1) / kChunkBytes);
-  for (uint64_t offset = 0; offset < image.size(); offset += kChunkBytes) {
-    const uint64_t len = std::min(kChunkBytes, image.size() - offset);
-    crcs.push_back(Crc32(image.subspan(offset, len)));
-  }
-  return crcs;
-}
-
 // True when `image` still matches its render-time chunk CRCs. kSampled
 // probes the cursor-selected chunk; kFull re-hashes every chunk.
 bool VerifyLayout(const RenderedLayout& layout, uint64_t cursor,
@@ -33,20 +21,10 @@ bool VerifyLayout(const RenderedLayout& layout, uint64_t cursor,
   if (layout.chunk_crcs.empty()) {
     return image.empty();
   }
-  const auto check_chunk = [&](uint64_t index) {
-    const uint64_t offset = index * kChunkBytes;
-    const uint64_t len = std::min(kChunkBytes, image.size() - offset);
-    return Crc32(image.subspan(offset, len)) == layout.chunk_crcs[index];
-  };
   if (mode == ImageTemplateCache::IntegrityMode::kFull) {
-    for (uint64_t i = 0; i < layout.chunk_crcs.size(); ++i) {
-      if (!check_chunk(i)) {
-        return false;
-      }
-    }
-    return true;
+    return AllChunkCrcsOk(image, layout.chunk_crcs);
   }
-  return check_chunk(cursor % layout.chunk_crcs.size());
+  return ChunkCrcOk(image, layout.chunk_crcs, cursor % layout.chunk_crcs.size());
 }
 
 bool SameFgParams(const FgKaslrParams& a, const FgKaslrParams& b) {

@@ -35,6 +35,17 @@ Result<uint64_t> PeekFirstLoadOffset(ByteSpan elf_prefix) {
 
 }  // namespace
 
+DirectBootParams DirectBootParamsFor(const MicroVmConfig& config, uint64_t usable_mem_limit) {
+  DirectBootParams params;
+  params.requested = config.rando;
+  params.fgkaslr_disabled_cmdline = config.fgkaslr_disabled_cmdline;
+  params.fg = config.fg;
+  params.protocol = config.protocol;
+  params.use_note_constants = config.use_note_constants;
+  params.usable_mem_limit = usable_mem_limit;
+  return params;
+}
+
 MicroVm::MicroVm(Storage& storage, MicroVmConfig config)
     : storage_(storage), config_(std::move(config)) {
   memory_ = std::make_unique<GuestMemory>(config_.mem_size_bytes);
@@ -142,13 +153,7 @@ Result<BootReport> MicroVm::BootDirect(BootReport& report) {
     relocs = &sidecar_relocs;
   }
 
-  DirectBootParams params;
-  params.requested = config_.rando;
-  params.fgkaslr_disabled_cmdline = config_.fgkaslr_disabled_cmdline;
-  params.fg = config_.fg;
-  params.protocol = config_.protocol;
-  params.use_note_constants = config_.use_note_constants;
-  params.usable_mem_limit = usable_mem_top_;
+  const DirectBootParams params = DirectBootParamsFor(config_, usable_mem_top_);
   Rng rng(config_.seed != 0 ? config_.seed : HostEntropySeed());
   std::optional<ThreadPool> pool;
   DirectLoadResources resources;

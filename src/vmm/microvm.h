@@ -121,6 +121,13 @@ struct MicroVmConfig {
   bool verify_after_load = false;
 };
 
+// The loader parameters a direct boot of `config` runs with. The one place
+// a config becomes DirectBootParams, so a layout pool keyed for a config and
+// the launches of that config always agree (the pool rejects grabs whose
+// params differ). `usable_mem_limit` is the device model's RAM floor for
+// full boots, 0 for bare launches into guest memory.
+DirectBootParams DirectBootParamsFor(const MicroVmConfig& config, uint64_t usable_mem_limit);
+
 // Everything one boot produced.
 struct BootReport {
   BootTimeline timeline;

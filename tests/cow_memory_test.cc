@@ -347,9 +347,9 @@ TEST(BootStormTest, FixedSeedsGiveIdenticalKernelsRegardlessOfThreads) {
 
   StormOptions options;
   options.vms = 4;
-  options.rando = RandoMode::kKaslr;
-  options.mem_size_bytes = 192ull << 20;
-  options.expected_checksum = info->expected_checksum;
+  options.vm.rando = RandoMode::kKaslr;
+  options.vm.mem_size_bytes = 192ull << 20;
+  options.supervisor.expected_checksum = info->expected_checksum;
   options.keep_kernel_regions = true;
   options.seed_base = 99;
 
@@ -378,8 +378,8 @@ TEST(BootStormTest, LaunchLaneMatchesFullLaneLayouts) {
   StormOptions options;
   options.vms = 2;
   options.threads = 2;
-  options.rando = RandoMode::kKaslr;
-  options.mem_size_bytes = 192ull << 20;
+  options.vm.rando = RandoMode::kKaslr;
+  options.vm.mem_size_bytes = 192ull << 20;
   options.keep_kernel_regions = true;
   options.seed_base = 7;
 
@@ -390,7 +390,7 @@ TEST(BootStormTest, LaunchLaneMatchesFullLaneLayouts) {
   auto launch = RunBootStorm(ByteSpan(info->vmlinux), ByteSpan(relocs_blob), options);
   ASSERT_TRUE(launch.ok()) << launch.status().ToString();
   options.launch_only = false;
-  options.expected_checksum = info->expected_checksum;
+  options.supervisor.expected_checksum = info->expected_checksum;
   auto full = RunBootStorm(ByteSpan(info->vmlinux), ByteSpan(relocs_blob), options);
   ASSERT_TRUE(full.ok()) << full.status().ToString();
 

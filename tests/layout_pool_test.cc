@@ -288,12 +288,12 @@ TEST(LayoutPoolTest, PooledStormLayoutsAreUnique) {
   StormOptions options;
   options.vms = 12;
   options.threads = 3;
-  options.rando = RandoMode::kFgKaslr;
-  options.mem_size_bytes = kMem;
-  options.expected_checksum = fx.info.expected_checksum;
-  options.cache = &cache;
+  options.vm.rando = RandoMode::kFgKaslr;
+  options.vm.mem_size_bytes = kMem;
+  options.supervisor.expected_checksum = fx.info.expected_checksum;
+  options.vm.template_cache = &cache;
   options.launch_only = true;
-  options.layout_pool_depth = options.vms;
+  options.vm.layout_pool_depth = options.vms;
   options.keep_layouts = true;
   auto stats = RunBootStorm(ByteSpan(fx.info.vmlinux), ByteSpan(relocs_blob), options);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
@@ -304,6 +304,25 @@ TEST(LayoutPoolTest, PooledStormLayoutsAreUnique) {
   VerifyReport report = CheckLayoutUniqueness(stats->layouts);
   EXPECT_TRUE(report.clean()) << report.ToString();
   EXPECT_EQ(report.CountOf(Invariant::kDuplicateLayout), 0u);
+}
+
+// The storm keys its pool and its launches with one DirectBootParamsFor, so
+// a launch spec with a non-default FG policy still matches its own pool.
+TEST(LayoutPoolTest, PooledStormWithNonDefaultFgParamsHitsPool) {
+  PoolFixture& fx = GetFixture();
+  const Bytes relocs_blob = SerializeRelocs(fx.info.relocs);
+  StormOptions options;
+  options.vms = 4;
+  options.threads = 2;
+  options.vm.rando = RandoMode::kFgKaslr;
+  options.vm.mem_size_bytes = kMem;
+  options.vm.fg.kallsyms = KallsymsFixup::kLazy;
+  options.launch_only = true;
+  options.vm.layout_pool_depth = options.vms;
+  auto stats = RunBootStorm(ByteSpan(fx.info.vmlinux), ByteSpan(relocs_blob), options);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_GT(stats->pool_hits, 0u);
+  EXPECT_EQ(stats->pool_hits + stats->pool_misses, options.vms);
 }
 
 // ---- duplicate detection (the checker itself) ----

@@ -43,6 +43,10 @@ struct Lz77Case {
   Lz77Params params;
 };
 
+// Print a case by its name: the default byte dump includes the address of
+// `name`, which changes from run to run and would leak into the test ids.
+void PrintTo(const Lz77Case& c, std::ostream* os) { *os << c.name; }
+
 class Lz77ParamTest : public ::testing::TestWithParam<Lz77Case> {};
 
 TEST_P(Lz77ParamTest, TokensReconstructInput) {

@@ -248,8 +248,8 @@ StormOptions SmallStorm() {
   StormOptions options;
   options.vms = 4;
   options.threads = 2;
-  options.mem_size_bytes = 64ull << 20;
-  options.rando = RandoMode::kNone;
+  options.vm.mem_size_bytes = 64ull << 20;
+  options.vm.rando = RandoMode::kNone;
   options.launch_only = true;
   options.warmup_per_thread = 0;
   return options;
@@ -298,9 +298,9 @@ TEST(RaceAuditCleanTest, InstrumentedConcurrentStormIsClean) {
   StormOptions options;
   options.vms = 8;
   options.threads = 4;
-  options.load_threads = 2;
-  options.mem_size_bytes = 192ull << 20;
-  options.rando = RandoMode::kKaslr;
+  options.vm.load_threads = 2;
+  options.vm.mem_size_bytes = 192ull << 20;
+  options.vm.rando = RandoMode::kKaslr;
   race::AuditScope audit;
   auto stats = RunBootStorm(ByteSpan(info->vmlinux), ByteSpan(relocs_blob), options);
   const race::RaceReport& report = audit.Finish();

@@ -440,9 +440,9 @@ TEST(SupervisedStormTest, FaultFreeSupervisionPreservesLayoutsAndTallies) {
   StormOptions options;
   options.vms = 4;
   options.threads = 2;
-  options.rando = RandoMode::kKaslr;
-  options.mem_size_bytes = kMem;
-  options.expected_checksum = kernel.info.expected_checksum;
+  options.vm.rando = RandoMode::kKaslr;
+  options.vm.mem_size_bytes = kMem;
+  options.supervisor.expected_checksum = kernel.info.expected_checksum;
   options.keep_kernel_regions = true;
   options.seed_base = 99;
 
@@ -474,9 +474,9 @@ TEST(SupervisedStormTest, InjectedFailureIsRetriedNotFatal) {
   options.vms = 6;
   options.threads = 1;  // serial: the global fault-hit order is the VM order
   options.warmup_per_thread = 0;
-  options.rando = RandoMode::kKaslr;
-  options.mem_size_bytes = kMem;
-  options.expected_checksum = kernel.info.expected_checksum;
+  options.vm.rando = RandoMode::kKaslr;
+  options.vm.mem_size_bytes = kMem;
+  options.supervisor.expected_checksum = kernel.info.expected_checksum;
   options.seed_base = 5;
   options.supervise = true;
 
@@ -515,13 +515,13 @@ TEST(SupervisedStormTest, HardPressureRejectionsAreTalliedPerLaunch) {
   options.threads = 2;
   options.churn_cycles = 2;
   options.warmup_per_thread = 0;
-  options.rando = RandoMode::kKaslr;
-  options.mem_size_bytes = kMem;
+  options.vm.rando = RandoMode::kKaslr;
+  options.vm.mem_size_bytes = kMem;
   options.seed_base = 7;
   options.supervise = true;
-  options.max_retries = 0;
-  options.admit_wait_ms = 1;
-  options.governor = &governor;
+  options.supervisor.max_retries = 0;
+  options.supervisor.admit_wait_ms = 1;
+  options.vm.mem_governor = &governor;
 
   auto storm = RunBootStorm(ByteSpan(kernel.info.vmlinux), ByteSpan(relocs_blob), options);
   ASSERT_TRUE(storm.ok()) << storm.status().ToString();

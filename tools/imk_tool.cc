@@ -9,73 +9,71 @@
 //            Disassembles a kernel's text section(s).
 //   relocs   FILE
 //            Summarizes a vmlinux.relocs blob.
-//   boot     --kernel=FILE [--relocs=FILE] [--rando=kaslr] [--mem=256]
-//            [--threads=N] [--no-template-cache] [--no-block-cache]
-//            [--layout-pool=N] [--pool-refill=N]
-//            [--trace=FILE] [--metrics]
-//            [--mem-budget=MIB] [--mem-soft-pct=F]
-//            [--faults=SPEC] [--fault-seed=N] [--max-retries=N]
-//            [--watchdog-ms=N] [--watchdog-insns=N] [--degrade=strict|ladder]
+//   boot     --kernel=FILE [--relocs=FILE] [--threads=N] [--seed=N]
+//            [LAUNCH FLAGS] [--trace=FILE] [--metrics]
 //            Boots the image with in-monitor randomization and reports the
 //            layout and timeline. --threads=N shards the randomization
 //            pipeline over N lanes (0 = hardware concurrency; results are
-//            bit-identical for every N); --no-template-cache re-parses the
-//            ELF on every boot instead of reusing the image template.
-//            Supervision flags route the boot through the BootSupervisor:
-//            --faults arms the seeded fault injector (grammar in
-//            src/base/fault_injection.h, e.g.
-//            "loader.reloc:error:n=1;vcpu.enter:delay:us=50000"),
-//            --watchdog-ms/--watchdog-insns bound each attempt, --max-retries
-//            bounds attempts per ladder rung, and --degrade picks whether a
-//            failing randomization level may fall back (fgkaslr -> kaslr ->
-//            nokaslr) or must fail (strict). --layout-pool=N boots through
-//            an ahead-of-time randomized layout pool of depth N (a pool hit
-//            maps a pre-rendered image; a drained pool falls back inline;
-//            under supervision the ladder becomes pool-hit -> inline ->
-//            lower modes); --pool-refill sets the background batch size.
-//            --mem-budget=MIB boots under a fleet MemGovernor with that hard
-//            watermark (--mem-soft-pct sets the reclamation watermark as a
-//            fraction of it, default 0.75): guest frames are byte-accounted,
-//            a supervised boot gains the admission gate and the caches-off
-//            pressure rung, and the governor's per-category residency is
-//            reported after the boot. --trace=FILE records imktrace spans
-//            (loader stages, relocation, pool grabs, supervisor rungs,
-//            governor ladder runs) and writes Chrome trace_event JSON —
-//            open it in chrome://tracing or https://ui.perfetto.dev;
-//            --metrics prints the process-wide metrics registry in
-//            Prometheus text exposition after the run. Both flags also
-//            apply to `storm`; a traced boot stays bit-identical to an
-//            untraced one.
-//   storm    --kernel=FILE [--relocs=FILE] [--rando=kaslr] [--vms=16]
-//            [--threads=4] [--mem=256] [--seed=N] [--no-block-cache]
-//            [--layout-pool=N] [--pool-refill=N] [--churn=K]
-//            [--trace=FILE] [--metrics]
-//            [--mem-budget=MIB] [--mem-soft-pct=F] [--admit-wait-ms=N]
-//            [--faults=SPEC] [--fault-seed=N] [--max-retries=N]
-//            [--watchdog-ms=N] [--watchdog-insns=N] [--degrade=strict|ladder]
+//            bit-identical for every N). --rando defaults to none.
+//            --trace=FILE records imktrace spans (loader stages, relocation,
+//            pool grabs, supervisor rungs, governor ladder runs) and writes
+//            Chrome trace_event JSON — open it in chrome://tracing or
+//            https://ui.perfetto.dev; --metrics prints the process-wide
+//            metrics registry in Prometheus text exposition after the run.
+//            Both flags also apply to `storm`; a traced boot stays
+//            bit-identical to an untraced one.
+//   storm    --kernel=FILE [--relocs=FILE] [--vms=16] [--threads=4]
+//            [--churn=K] [LAUNCH FLAGS] [--trace=FILE] [--metrics]
 //            Boot-storm fleet drill: boots --vms microVMs of the image across
 //            --threads workers sharing one image-template cache, and reports
 //            warm throughput, per-boot latency, and the per-VM resident
 //            (privately materialized) memory vs frames still aliased
-//            zero-copy to the shared kernel template. With --faults (or any
-//            supervision flag) each VM boots under the supervisor and the
-//            report adds per-outcome tallies: first-try / retried / degraded
-//            / failed, watchdog trips, and template-cache quarantines. With
-//            --layout-pool=N one shared pool of depth N serves every
-//            measured launch and the report adds pool hit/miss tallies.
-//            Guests run on the predecoded block engine with a storm-wide
-//            shared decode cache by default, and the report breaks blocks
-//            into shared vs privately decoded (the decode-cache analogue of
-//            the page-sharing census); --no-block-cache runs the legacy
-//            per-instruction interpreter instead (boot accepts it too).
-//            --churn=K launches-and-halts each VM slot K times (vms*K
-//            measured launches against the same shared caches — the
-//            long-running-host lane). --mem-budget=MIB runs the storm under
-//            a fleet MemGovernor: the soft watermark (--mem-soft-pct, of the
-//            budget) triggers pressure-tiered cache reclamation (layout pool
-//            -> decode tables -> template images), the hard watermark gates
-//            launch admission (--admit-wait-ms bounded wait, then the launch
-//            is tallied rejected-mem), and the report adds per-category
+//            zero-copy to the shared kernel template. VM i boots with seed
+//            --seed + i (--seed defaults to 1, --rando to kaslr). Supervised
+//            storms add per-outcome tallies: first-try / retried / degraded
+//            / failed, watchdog trips, and template-cache quarantines. A
+//            --layout-pool storm shares one pool across every measured
+//            launch and reports pool hit/miss tallies. The block engine
+//            shares one storm-wide decode cache, and the report breaks
+//            blocks into shared vs privately decoded (the decode-cache
+//            analogue of the page-sharing census). --churn=K
+//            launches-and-halts each VM slot K times (vms*K measured launches
+//            against the same shared caches — the long-running-host lane).
+//
+//   LAUNCH FLAGS, read by one parser for boot, storm and racecheck (whose
+//            lanes set their own --rando, --mem, --layout-pool,
+//            --no-block-cache and --mem-budget):
+//            [--rando=none|kaslr|fgkaslr] [--mem=256] [--seed=N]
+//            [--no-template-cache] [--no-block-cache]
+//            [--layout-pool=N] [--pool-refill=N]
+//            [--mem-budget=MIB] [--mem-soft-pct=F] [--admit-wait-ms=N]
+//            [--faults=SPEC] [--fault-seed=N] [--max-retries=N]
+//            [--watchdog-ms=N] [--watchdog-insns=N] [--degrade=strict|ladder]
+//            --seed=N fixes the randomization seed (0 = host entropy), so a
+//            seeded boot lays out the same way every run, supervised or not.
+//            --no-template-cache re-parses the ELF on every boot instead of
+//            reusing the image template; --no-block-cache runs the legacy
+//            per-instruction interpreter instead of the predecoded block
+//            engine. Supervision flags route each boot through the
+//            BootSupervisor: --faults arms the seeded fault injector
+//            (grammar in src/base/fault_injection.h, e.g.
+//            "loader.reloc:error:n=1;vcpu.enter:delay:us=50000"),
+//            --watchdog-ms/--watchdog-insns bound each attempt, --max-retries
+//            bounds attempts per ladder rung, and --degrade picks whether a
+//            failing randomization level may fall back (fgkaslr -> kaslr ->
+//            nokaslr) or must fail (strict). --layout-pool=N launches through
+//            an ahead-of-time randomized layout pool of depth N (a pool hit
+//            maps a pre-rendered image; a drained pool falls back inline;
+//            under supervision the ladder becomes pool-hit -> inline ->
+//            lower modes); --pool-refill sets the background batch size.
+//            --mem-budget=MIB runs under a fleet MemGovernor with that hard
+//            watermark: guest frames are byte-accounted, the soft watermark
+//            (--mem-soft-pct, a fraction of the budget, default 0.75)
+//            triggers pressure-tiered cache reclamation (layout pool ->
+//            decode tables -> template images), the hard watermark gates
+//            admission (--admit-wait-ms bounded wait; a storm launch still
+//            over budget is tallied rejected-mem), supervised boots gain the
+//            caches-off pressure rung, and the report adds per-category
 //            current/peak resident bytes plus reclaim/admission counters.
 //   verify   --kernel=FILE [--relocs=FILE] [--rando=kaslr] [--seed=N]
 //            [--mem=256] [--threads=N] [--json] [--corrupt=MODE]
@@ -116,6 +114,7 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -192,6 +191,8 @@ class Args {
     return it == values_.end() ? fallback : std::atof(it->second.c_str());
   }
   const std::vector<std::string>& positional() const { return positional_; }
+  // Overrides one flag ("" reads as absent).
+  void Set(const std::string& key, const std::string& value) { values_[key] = value; }
 
  private:
   std::map<std::string, std::string> values_;
@@ -224,36 +225,71 @@ imk::RandoMode ParseRando(const std::string& name) {
   Die("unknown randomization mode: " + name);
 }
 
-// Arms the process-wide fault injector from --faults/--fault-seed; returns
-// true if a plan was armed (the caller should boot under supervision).
-bool ArmFaults(const Args& args) {
-  const std::string spec = args.Get("faults");
-  if (spec.empty()) {
-    return false;
-  }
-  const uint64_t seed = static_cast<uint64_t>(args.GetDouble("fault-seed", 1));
-  auto plan = imk::FaultPlan::Parse(spec, seed);
-  if (!plan.ok()) {
-    Die(plan.status().ToString());
-  }
-  imk::FaultInjector::Instance().Arm(std::move(*plan));
-  std::printf("faults armed (seed %llu): %s\n", static_cast<unsigned long long>(seed),
-              spec.c_str());
-  return true;
-}
+// What every VM of a boot, storm or racecheck lane is launched with.
+struct LaunchSpec {
+  imk::MicroVmConfig vm;
+  imk::SupervisorOptions supervisor;
+  bool supervise = false;  // a supervision flag was given
+  // Set by --mem-budget; vm.mem_governor points here. Declare the spec
+  // before any VM or storm so the governor outlives everything charged to it.
+  std::unique_ptr<imk::MemGovernor> governor;
+};
 
-bool WantsSupervision(const Args& args) {
-  return !args.Get("faults").empty() || !args.Get("max-retries").empty() ||
-         !args.Get("watchdog-ms").empty() || !args.Get("watchdog-insns").empty() ||
-         !args.Get("degrade").empty();
-}
+// The one parse of the LAUNCH FLAGS (header comment). `base` carries the
+// subcommand's defaults for --rando, --mem and the load-lane count, which
+// `load_threads_flag` names (nullptr: the subcommand has no such flag).
+// --faults also arms the process-wide fault injector.
+LaunchSpec ParseLaunchSpec(const Args& args, const imk::MicroVmConfig& base,
+                           const char* load_threads_flag) {
+  LaunchSpec spec;
+  imk::MicroVmConfig& vm = spec.vm;
+  vm = base;
+  vm.rando = ParseRando(args.Get("rando", imk::RandoModeName(base.rando)));
+  vm.mem_size_bytes =
+      static_cast<uint64_t>(args.GetDouble("mem", static_cast<double>(base.mem_size_bytes >> 20)))
+      << 20;
+  vm.seed = static_cast<uint64_t>(args.GetDouble("seed", 0));
+  if (load_threads_flag != nullptr) {
+    vm.load_threads = static_cast<uint32_t>(args.GetDouble(load_threads_flag, base.load_threads));
+  }
+  vm.use_template_cache = args.Get("no-template-cache").empty();
+  vm.use_block_cache = args.Get("no-block-cache").empty();
+  vm.layout_pool_depth = static_cast<uint32_t>(args.GetDouble("layout-pool", 0));
+  vm.layout_pool_refill_batch = static_cast<uint32_t>(args.GetDouble("pool-refill", 2));
+  const uint64_t mem_budget = static_cast<uint64_t>(args.GetDouble("mem-budget", 0)) << 20;
+  if (mem_budget > 0) {
+    imk::MemGovernorOptions governor_options;
+    governor_options.budget_bytes = mem_budget;
+    governor_options.soft_pct = args.GetDouble("mem-soft-pct", 0.75);
+    spec.governor = std::make_unique<imk::MemGovernor>(governor_options);
+    vm.mem_governor = spec.governor.get();
+  }
 
-imk::DegradePolicy ParseDegrade(const Args& args) {
+  imk::SupervisorOptions& sup = spec.supervisor;
+  sup.max_retries = static_cast<uint32_t>(args.GetDouble("max-retries", 2));
+  sup.watchdog_wall_ms = static_cast<uint64_t>(args.GetDouble("watchdog-ms", 0));
+  sup.watchdog_instructions = static_cast<uint64_t>(args.GetDouble("watchdog-insns", 0));
+  sup.admit_wait_ms = static_cast<uint64_t>(args.GetDouble("admit-wait-ms", 50));
   auto policy = imk::ParseDegradePolicy(args.Get("degrade", "ladder"));
   if (!policy.ok()) {
     Die(policy.status().ToString());
   }
-  return *policy;
+  sup.policy = *policy;
+  const std::string faults = args.Get("faults");
+  spec.supervise = !faults.empty() || !args.Get("max-retries").empty() ||
+                   !args.Get("watchdog-ms").empty() || !args.Get("watchdog-insns").empty() ||
+                   !args.Get("degrade").empty();
+  if (!faults.empty()) {
+    const uint64_t fault_seed = static_cast<uint64_t>(args.GetDouble("fault-seed", 1));
+    auto plan = imk::FaultPlan::Parse(faults, fault_seed);
+    if (!plan.ok()) {
+      Die(plan.status().ToString());
+    }
+    imk::FaultInjector::Instance().Arm(std::move(*plan));
+    std::printf("faults armed (seed %llu): %s\n", static_cast<unsigned long long>(fault_seed),
+                faults.c_str());
+  }
+  return spec;
 }
 
 void PrintMemStats(const imk::MemGovernor::Stats& mem) {
@@ -516,52 +552,31 @@ int CmdBoot(const Args& args) {
   std::optional<imk::race::AuditScope> audit;
   MaybeBeginAudit(args, audit);
   const bool json = !args.Get("json").empty();
+  // Declared before the VM/supervisor below so its governor outlives them:
+  // the VM's frame accounting releases into the governor at teardown.
+  LaunchSpec spec = ParseLaunchSpec(args, imk::MicroVmConfig{}, "threads");
+  imk::MicroVmConfig& config = spec.vm;
   imk::Storage storage;
-  storage.Put("kernel", ReadFile(kernel_path));
-  imk::MicroVmConfig config;
+  Bytes kernel = ReadFile(kernel_path);
+  // Auto-detect bzImage vs vmlinux by magic.
+  config.boot_mode =
+      (kernel.size() > 8 && kernel[0] == 0x49 && kernel[1] == 0x4d && kernel[2] == 0x4b)
+          ? imk::BootMode::kBzImage
+          : imk::BootMode::kDirect;
+  storage.Put("kernel", std::move(kernel));
   config.kernel_image = "kernel";
-  config.mem_size_bytes = static_cast<uint64_t>(args.GetDouble("mem", 256)) << 20;
-  config.rando = ParseRando(args.Get("rando", "none"));
-  config.load_threads = static_cast<uint32_t>(args.GetDouble("threads", 1));
-  config.use_template_cache = args.Get("no-template-cache").empty();
-  config.use_block_cache = args.Get("no-block-cache").empty();
-  config.layout_pool_depth = static_cast<uint32_t>(args.GetDouble("layout-pool", 0));
-  config.layout_pool_refill_batch = static_cast<uint32_t>(args.GetDouble("pool-refill", 2));
   const std::string relocs_path = args.Get("relocs");
   if (!relocs_path.empty()) {
     storage.Put("relocs", ReadFile(relocs_path));
     config.relocs_image = "relocs";
   }
-  // Auto-detect bzImage vs vmlinux by magic.
-  Bytes head = ReadFile(kernel_path);
-  config.boot_mode = (head.size() > 8 && head[0] == 0x49 && head[1] == 0x4d && head[2] == 0x4b)
-                         ? imk::BootMode::kBzImage
-                         : imk::BootMode::kDirect;
-  // Declared before the VM/supervisor below so it outlives them: the VM's
-  // frame accounting releases into the governor at teardown.
-  std::optional<imk::MemGovernor> governor;
-  const uint64_t mem_budget = static_cast<uint64_t>(args.GetDouble("mem-budget", 0)) << 20;
-  if (mem_budget > 0) {
-    imk::MemGovernorOptions governor_options;
-    governor_options.budget_bytes = mem_budget;
-    governor_options.soft_pct = args.GetDouble("mem-soft-pct", 0.75);
-    governor.emplace(governor_options);
-    config.mem_governor = &*governor;
-  }
-  MaybeStartTrace(args, governor.has_value() ? &*governor : nullptr);
-  if (WantsSupervision(args)) {
-    ArmFaults(args);
-    imk::SupervisorOptions sup;
-    sup.max_retries = static_cast<uint32_t>(args.GetDouble("max-retries", 2));
-    sup.watchdog_wall_ms = static_cast<uint64_t>(args.GetDouble("watchdog-ms", 0));
-    sup.watchdog_instructions = static_cast<uint64_t>(args.GetDouble("watchdog-insns", 0));
-    sup.policy = ParseDegrade(args);
-    config.seed = static_cast<uint64_t>(args.GetDouble("seed", 0));
-    imk::BootSupervisor supervisor(storage, config, sup);
+  MaybeStartTrace(args, spec.governor.get());
+  if (spec.supervise) {
+    imk::BootSupervisor supervisor(storage, config, spec.supervisor);
     imk::BootOutcome outcome = supervisor.Run();
     std::printf("%s\n", outcome.ToString().c_str());
-    if (governor.has_value()) {
-      PrintMemStats(governor->stats());
+    if (spec.governor != nullptr) {
+      PrintMemStats(spec.governor->stats());
     }
     imk::FaultInjector::Instance().Disarm();
     MaybeFinishTrace(args, outcome.report.has_value()
@@ -600,8 +615,8 @@ int CmdBoot(const Args& args) {
                 static_cast<unsigned long long>(report->guest_stats.blocks_shared),
                 static_cast<unsigned long long>(report->guest_stats.blocks_private));
   }
-  if (governor.has_value()) {
-    PrintMemStats(governor->stats());
+  if (spec.governor != nullptr) {
+    PrintMemStats(spec.governor->stats());
   }
   MaybeFinishTrace(args, imk::TimelineToTraceEvents(report->timeline, 0, imk::trace::kNoVmId));
   MaybePrintMetrics(args);
@@ -622,38 +637,18 @@ int CmdStorm(const Args& args) {
   if (!relocs_path.empty()) {
     relocs_blob = ReadFile(relocs_path);
   }
+  imk::MicroVmConfig base;
+  base.rando = imk::RandoMode::kKaslr;
+  LaunchSpec spec = ParseLaunchSpec(args, base, /*load_threads_flag=*/nullptr);
   imk::StormOptions options;
-  options.rando = ParseRando(args.Get("rando", "kaslr"));
   options.vms = static_cast<uint32_t>(args.GetDouble("vms", 16));
   options.threads = static_cast<uint32_t>(args.GetDouble("threads", 4));
-  options.mem_size_bytes = static_cast<uint64_t>(args.GetDouble("mem", 256)) << 20;
   options.seed_base = static_cast<uint64_t>(args.GetDouble("seed", 1));
-  options.use_block_cache = args.Get("no-block-cache").empty();
-  options.layout_pool_depth = static_cast<uint32_t>(args.GetDouble("layout-pool", 0));
-  options.layout_pool_refill_batch = static_cast<uint32_t>(args.GetDouble("pool-refill", 2));
   options.churn_cycles = static_cast<uint32_t>(args.GetDouble("churn", 1));
-  options.mem_budget_bytes = static_cast<uint64_t>(args.GetDouble("mem-budget", 0)) << 20;
-  options.mem_soft_pct = args.GetDouble("mem-soft-pct", 0.75);
-  options.admit_wait_ms = static_cast<uint64_t>(args.GetDouble("admit-wait-ms", 50));
-  if (WantsSupervision(args)) {
-    ArmFaults(args);
-    options.supervise = true;
-    options.max_retries = static_cast<uint32_t>(args.GetDouble("max-retries", 2));
-    options.watchdog_wall_ms = static_cast<uint64_t>(args.GetDouble("watchdog-ms", 0));
-    options.watchdog_instructions = static_cast<uint64_t>(args.GetDouble("watchdog-insns", 0));
-    options.degrade = ParseDegrade(args);
-  }
-  // A traced, governed storm hoists the governor out of RunBootStorm so the
-  // tracer's rings are charged to its trace_buffers category.
-  std::optional<imk::MemGovernor> governor;
-  if (!args.Get("trace").empty() && options.mem_budget_bytes > 0) {
-    imk::MemGovernorOptions governor_options;
-    governor_options.budget_bytes = options.mem_budget_bytes;
-    governor_options.soft_pct = options.mem_soft_pct;
-    governor.emplace(governor_options);
-    options.governor = &*governor;
-  }
-  MaybeStartTrace(args, governor.has_value() ? &*governor : nullptr);
+  options.vm = spec.vm;
+  options.supervise = spec.supervise;
+  options.supervisor = spec.supervisor;
+  MaybeStartTrace(args, spec.governor.get());
   auto stats = imk::RunBootStorm(ByteSpan(vmlinux), ByteSpan(relocs_blob), options);
   imk::FaultInjector::Instance().Disarm();
   if (!stats.ok()) {
@@ -674,7 +669,7 @@ int CmdStorm(const Args& args) {
   std::printf("resident %.2f MiB per VM; template cache %llu hits / %llu misses\n",
               stats->resident_mb.mean(), static_cast<unsigned long long>(stats->cache_hits),
               static_cast<unsigned long long>(stats->cache_misses));
-  if (options.use_block_cache) {
+  if (options.vm.use_block_cache) {
     std::printf(
         "decode cache: %llu hits / %llu misses / %llu invalidations; blocks %llu shared / "
         "%llu private (%.1f%% shared), %llu resident in the shared tier\n",
@@ -686,7 +681,7 @@ int CmdStorm(const Args& args) {
         stats->block_share_rate() * 100,
         static_cast<unsigned long long>(stats->shared_blocks_resident));
   }
-  if (options.layout_pool_depth > 0) {
+  if (options.vm.layout_pool_depth > 0) {
     std::printf(
         "layout pool: %llu hits / %llu misses (%.1f%% hit rate), %llu rendered during the "
         "storm, %llu refill errors, %llu quarantined\n",
@@ -752,54 +747,61 @@ int CmdRaceCheck(const Args& args) {
   imk::StormOptions options;
   options.vms = static_cast<uint32_t>(args.GetDouble("vms", 16));
   options.threads = static_cast<uint32_t>(args.GetDouble("threads", 4));
-  options.load_threads = static_cast<uint32_t>(args.GetDouble("load-threads", 2));
-  options.mem_size_bytes = 192ull << 20;
+  imk::MicroVmConfig base;
+  base.load_threads = 2;
   const double scale = args.GetDouble("scale", 0.02);
+  const std::string pool_depth = std::to_string(options.vms);
 
   bool all_clean = true;
   struct Lane {
     const char* name;
-    imk::RandoMode mode;
-    uint32_t pool_depth;  // 0 = no layout pool
-    bool block_cache;     // storm-wide shared decode cache on?
+    const char* rando;
+    bool pooled;          // one layout pool of depth --vms
+    bool block_cache;     // block engine + storm-wide shared decode cache on?
     uint32_t churn;       // launch/halt cycles per VM slot (<=1 = one wave)
-    uint64_t budget_mb;   // MemGovernor hard watermark (0 = ungoverned)
+    const char* budget_mib;  // MemGovernor hard watermark ("0" = ungoverned)
     bool traced = false;  // run with the imktrace tracer recording
   };
   const Lane lanes[] = {
-      {"kaslr", imk::RandoMode::kKaslr, 0, false, 1, 0},
-      {"fgkaslr", imk::RandoMode::kFgKaslr, 0, false, 1, 0},
+      {"kaslr", "kaslr", false, false, 1, "0"},
+      {"fgkaslr", "fgkaslr", false, false, 1, "0"},
       // Pooled lane: background refill races measured grabs, so the
       // LayoutPool's kLayoutPool rank and guards get audited under load.
-      {"fgkaslr-pooled", imk::RandoMode::kFgKaslr, options.vms, false, 1, 0},
+      {"fgkaslr-pooled", "fgkaslr", true, false, 1, "0"},
       // Block-cache lane: every VM's block engine grabs from / installs
       // into one SharedBlockCache, auditing the kBlockCache rank and the
       // decode-map guards under storm concurrency.
-      {"kaslr-blockcache", imk::RandoMode::kKaslr, 0, true, 1, 0},
+      {"kaslr-blockcache", "kaslr", false, true, 1, "0"},
       // Churn lane under a deliberately tight MemGovernor budget: workers
       // charge/release frame bytes while the ladder walks cache locks from
       // the kMemGovernor rank, auditing the governor's lock order (admission
       // gate, reclamation into pool + decode + template tiers) under load.
-      {"fgkaslr-churn-governed", imk::RandoMode::kFgKaslr, options.vms, true, 3, 48},
+      {"fgkaslr-churn-governed", "fgkaslr", true, true, 3, "48"},
       // Traced lane: every worker emits into its lock-free ring while the
       // audit watches, proving the trace emit path adds no lock-order or
       // lockset findings under storm concurrency (ISSUE: instrumented
       // racecheck of a traced storm stays CLEAN).
-      {"fgkaslr-traced", imk::RandoMode::kFgKaslr, options.vms, true, 1, 0, true},
+      {"fgkaslr-traced", "fgkaslr", true, true, 1, "0", true},
   };
   for (const Lane& lane : lanes) {
+    // Each lane is the command line with its launch flags overridden.
+    Args lane_args = args;
+    lane_args.Set("mem", "192");
+    lane_args.Set("rando", lane.rando);
+    lane_args.Set("layout-pool", lane.pooled ? pool_depth : "0");
+    lane_args.Set("no-block-cache", lane.block_cache ? "" : "1");
+    lane_args.Set("mem-budget", lane.budget_mib);
+    const LaunchSpec spec = ParseLaunchSpec(lane_args, base, "load-threads");
     auto info = imk::BuildKernel(
-        imk::KernelConfig::Make(imk::KernelProfile::kAws, lane.mode, scale));
+        imk::KernelConfig::Make(imk::KernelProfile::kAws, spec.vm.rando, scale));
     if (!info.ok()) {
       Die(info.status().ToString());
     }
     Bytes relocs_blob = imk::SerializeRelocs(info->relocs);
-    options.rando = lane.mode;
-    options.layout_pool_depth = lane.pool_depth;
-    options.use_block_cache = lane.block_cache;
-    options.share_block_cache = lane.block_cache;
+    options.vm = spec.vm;
+    options.supervise = spec.supervise;
+    options.supervisor = spec.supervisor;
     options.churn_cycles = lane.churn;
-    options.mem_budget_bytes = lane.budget_mb << 20;
     imk::race::AuditScope audit;
     if (lane.traced) {
       imk::trace::Tracer::Instance().Start();
@@ -815,7 +817,7 @@ int CmdRaceCheck(const Args& args) {
     std::printf("lane %s: %u VMs x %u threads, %llu cache hits / %llu misses", lane.name,
                 stats->vms, stats->threads, static_cast<unsigned long long>(stats->cache_hits),
                 static_cast<unsigned long long>(stats->cache_misses));
-    if (lane.pool_depth > 0) {
+    if (lane.pooled) {
       std::printf(", pool %llu hits / %llu misses",
                   static_cast<unsigned long long>(stats->pool_hits),
                   static_cast<unsigned long long>(stats->pool_misses));
@@ -868,12 +870,12 @@ int CmdVerifyUniqueness(const Args& args) {
   }
   Bytes relocs_blob = imk::SerializeRelocs(info->relocs);
   imk::StormOptions options;
-  options.rando = imk::RandoMode::kFgKaslr;
+  options.vm.rando = imk::RandoMode::kFgKaslr;
   options.vms = vms;
   options.threads = static_cast<uint32_t>(args.GetDouble("threads", 4));
-  options.mem_size_bytes = 192ull << 20;
+  options.vm.mem_size_bytes = 192ull << 20;
   options.launch_only = true;
-  options.layout_pool_depth =
+  options.vm.layout_pool_depth =
       static_cast<uint32_t>(args.GetDouble("layout-pool", static_cast<double>(vms)));
   options.keep_layouts = true;
   options.seed_base = static_cast<uint64_t>(args.GetDouble("seed", 1));
@@ -883,7 +885,7 @@ int CmdVerifyUniqueness(const Args& args) {
   }
   imk::VerifyReport report = imk::CheckLayoutUniqueness(stats->layouts);
   std::printf("uniqueness: %zu layouts from a depth-%u pool (%llu hits / %llu misses)\n",
-              stats->layouts.size(), options.layout_pool_depth,
+              stats->layouts.size(), options.vm.layout_pool_depth,
               static_cast<unsigned long long>(stats->pool_hits),
               static_cast<unsigned long long>(stats->pool_misses));
   std::printf("%s\n", !args.Get("json").empty() ? report.ToJson().c_str()
