@@ -1,19 +1,32 @@
 // FrameStore: paged guest physical memory with copy-on-write frames.
 //
 // RAM is a table of 4 KiB frames, each in one of three states:
-//   - zero:   untouched RAM; reads see zeros, nothing is materialized.
+//   - zero:   untouched RAM; reads see one process-wide static zero frame,
+//             nothing is materialized.
 //   - shared: the frame aliases immutable bytes owned by someone else
 //             (an ImageTemplate's pristine image) — the monitor-CoW
 //             mapping the paper's §6 density argument relies on.
 //   - dirty:  the frame was written; its bytes live in this store's
 //             private arena.
 //
-// The private arena is one contiguous lazily-backed allocation (calloc, so
-// untouched frames cost address space, not resident memory). Because every
-// materialized frame lands at arena + frame * kFrameBytes, any fully
-// materialized range is host-contiguous: WritablePtr can hand out flat
-// pointers spanning many frames, which is what lets the relocator and
-// FGKASLR mover run unmodified over paged memory.
+// The private arena is one contiguous, page-aligned anonymous mapping with a
+// PROT_NONE guard page behind it, so every guest frame is exactly one host
+// page. Because every materialized frame lands at arena + frame *
+// kFrameBytes, any fully materialized range is host-contiguous: WritablePtr
+// can hand out flat pointers spanning many frames, which is what lets the
+// relocator and FGKASLR mover run unmodified over paged memory.
+//
+// Arenas are recycled. A destroyed store parks its arena on a small
+// process-wide idle list (at most four arenas), and the next store
+// of the same size takes it instead of first-touch faulting fresh host
+// pages in. A recycled slot may still hold an earlier VM's bytes, so the
+// zero -> dirty fault clears any slot that was ever materialized before
+// (each arena carries a bitmap of those) — no recycled byte is visible
+// before this store writes it. On return, slots that are resident but not
+// dirty in the dying store are handed back to the host (MADV_DONTNEED), so
+// an idle arena holds at most its last VM's dirty set. Idle arenas are not
+// charged to any ByteAccountant: dirty-frame charge and release are exactly
+// those of a store that frees its arena.
 //
 // Thread safety: concurrent WritablePtr/Read/Write calls on disjoint byte
 // ranges are safe even when they share frames (the loader's ThreadPool
@@ -43,7 +56,8 @@ class FrameStore {
   // Owning store: `size_bytes` of RAM, all frames zero.
   explicit FrameStore(uint64_t size_bytes);
   // Flat adapter: wraps caller-owned storage, every frame pre-materialized
-  // (no CoW). Used where a plain byte buffer must act as guest memory.
+  // (no CoW). Used where a plain byte buffer must act as guest memory. Its
+  // storage never enters the idle arena list.
   explicit FrameStore(MutableByteSpan external);
   ~FrameStore();
   FrameStore(const FrameStore&) = delete;
@@ -84,10 +98,11 @@ class FrameStore {
   FrameState StateOf(uint64_t frame) const {
     return static_cast<FrameState>(states_[frame].load(std::memory_order_acquire));
   }
-  // Lock-free pointer to the frame's current kFrameBytes of content (arena
-  // slot for zero/dirty frames, the owner's bytes for shared frames). A
-  // shared->dirty CoW fault retargets it; callers caching the pointer (the
-  // interpreter's read TLB) must flush on that transition.
+  // Lock-free pointer to the frame's current kFrameBytes of content (the
+  // static zero frame for zero frames, the owner's bytes for shared frames,
+  // the arena slot for dirty frames). Any non-dirty -> dirty fault retargets
+  // it; callers caching the pointer (the interpreter's read TLB) must flush
+  // on that transition.
   const uint8_t* FrameReadPtr(uint64_t frame) const {
     return read_ptrs_[frame].load(std::memory_order_acquire);
   }
@@ -174,21 +189,30 @@ class FrameStore {
     return OkStatus();
   }
   uint8_t* arena_frame(uint64_t frame) { return arena_ + (frame << kFrameShift); }
-  const uint8_t* arena_frame(uint64_t frame) const { return arena_ + (frame << kFrameShift); }
   bool FrameDirty(uint64_t frame) const {
     return states_[frame].load(std::memory_order_acquire) ==
            static_cast<uint8_t>(FrameState::kDirty);
   }
   // Slow path: copy-on-write fault for one frame.
   void FaultFrame(uint64_t frame);
+  // Teardown of an owned arena: MADV_DONTNEED every slot resident_ marks
+  // that is not dirty, and clear its bit. False if any trim failed (the
+  // arena must then be unmapped, not reused).
+  bool TrimArena();
 
   uint64_t size_ = 0;
   uint64_t frame_count_ = 0;
   uint8_t* arena_ = nullptr;           // full-size backing (owned unless external)
   bool owns_arena_ = false;
+  // Owned arenas only: one bit per frame whose arena slot was ever
+  // materialized, in this store or in an earlier owner of the arena. A
+  // zero -> dirty fault clears the slot iff its bit was set. Travels with
+  // the arena through the idle list; atomic because 64 neighbouring frames
+  // share a word but not a fault shard.
+  std::unique_ptr<std::atomic<uint64_t>[]> resident_;
   // Per-frame state and read pointer. The read pointer is always valid for
-  // reading kFrameBytes (zero frames point at their — still zero — arena
-  // slot, shared frames at the owner's bytes, dirty frames at the arena).
+  // reading kFrameBytes (zero frames point at the static zero frame, shared
+  // frames at the owner's bytes, dirty frames at the arena).
   // Reads are lock-free (acquire); state *transitions* happen only under
   // the frame's fault shard, which is what the annotations assert.
   std::unique_ptr<std::atomic<const uint8_t*>[]> read_ptrs_

@@ -187,8 +187,6 @@ struct BlockCacheCounters {
 // Per-VM tier. Single-threaded, like the vCPU that owns it.
 class BlockCache {
  public:
-  static constexpr uint32_t kMaxBlockUops = 128;
-
   explicit BlockCache(FrameStore& store)
       : store_(&store),
         slots_(static_cast<Slot*>(std::calloc(kSlotCount, sizeof(Slot)))) {}

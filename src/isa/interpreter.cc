@@ -103,11 +103,10 @@ uint8_t* Interpreter::FillWriteTlb(uint64_t page, uint64_t* frame_out) {
     return nullptr;
   }
   const uint64_t frame = *phys >> 12;
-  // Materializing a shared frame retargets its read pointer; any read-TLB
-  // entry caching the pre-CoW pointer must go. (Zero frames materialize in
-  // place — their arena slot pointer is stable — so only the shared state
-  // forces the flush.)
-  if (store_->StateOf(frame) == FrameStore::FrameState::kShared) {
+  // Materializing a frame retargets its read pointer (a shared frame's from
+  // the owner's bytes, a zero frame's from the static zero frame); any
+  // read-TLB entry caching the pre-fault pointer must go.
+  if (store_->StateOf(frame) != FrameStore::FrameState::kDirty) {
     FlushReadTlb();
   }
   auto base = store_->WritablePtr(*phys, FrameStore::kFrameBytes);
@@ -558,7 +557,8 @@ Result<RunResult> Interpreter::RunBlocks(uint64_t pc, uint64_t max_instructions)
       IMK_ASSIGN_OR_RETURN(uint64_t insn_phys, Translate(pc, length));
       IMK_ASSIGN_OR_RETURN(const uint8_t* insn, store_->ReadPtr(insn_phys, length, insn_buf_));
       DecodedBlock single;
-      single.uops.push_back(DecodeOne(insn, opcode, length, 0));
+      const Uop uop = DecodeOne(insn, opcode, length, 0);
+      single.uops.assign(&uop, 1);
       IMK_ASSIGN_OR_RETURN(bool halted, RunUops(single, pc, 1, stats, &pc));
       if (halted) {
         return finish(StopReason::kHalt);

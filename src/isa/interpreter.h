@@ -202,8 +202,9 @@ class Interpreter {
   // Direct-mapped, virtual-page indexed. Entries cache the host pointer for
   // one fully mapped, frame-aligned guest page, so in-page loads and stores
   // skip Translate's range checks and FrameStore's atomics. Read entries go
-  // stale when a CoW fault retargets a frame's read pointer — every write
-  // path that can trigger the first fault of a frame flushes the read TLB.
+  // stale when a zero -> dirty or shared -> dirty fault retargets a frame's
+  // read pointer — every write path that can trigger the first fault of a
+  // frame flushes the read TLB.
   // Write entries bump the store's frame version on every hit so decoded
   // blocks over the frame still invalidate — even blocks installed after
   // the write entry was filled, which is why no TLB flush is needed on

@@ -1,7 +1,8 @@
 #include "src/isa/uop.h"
 
+#include <algorithm>
+
 #include "src/base/bytes.h"
-#include "src/base/crc32.h"
 
 namespace imk {
 namespace {
@@ -143,49 +144,52 @@ uint64_t UopDigest(const UopArray& uops) {
 DecodedBlock DecodeBlock(const FrameStore& store, uint64_t phys, uint64_t avail,
                          uint32_t max_uops) {
   DecodedBlock block;
-  const uint64_t frame = phys >> 12;
+  if (phys >= store.size()) {
+    return block;
+  }
+  avail = std::min(avail, store.size() - phys);
+  max_uops = std::min(max_uops, kMaxBlockUops);
+  // Blocks are invalidated per frame, so they never begin an instruction in
+  // a second frame: every opcode byte, and every instruction that ends in
+  // the frame, is read straight from the frame's content pointer. Only a
+  // last instruction straddling the frame edge is gathered.
+  const uint64_t start = phys & (FrameStore::kFrameBytes - 1);
+  const uint8_t* bytes = store.FrameReadPtr(phys >> 12) + start;
+  const uint64_t in_frame = FrameStore::kFrameBytes - start;
+  // Per thread rather than on the stack: default-constructing
+  // kMaxBlockUops uops on every call would cost more than a typical block's
+  // whole decode.
+  thread_local Uop uops[kMaxBlockUops];
+  uint32_t n = 0;
   uint64_t cursor = 0;
-  uint32_t crc = 0;
-  uint8_t scratch[16];
-  while (block.uops.size() < max_uops) {
-    // Stop before an instruction that starts in the next frame: blocks are
-    // invalidated per frame, so they never begin bytes in a second one.
-    if (((phys + cursor) >> 12) != frame) {
-      break;
-    }
-    if (cursor >= avail) {
-      break;
-    }
-    auto opcode_ptr = store.ReadPtr(phys + cursor, 1, scratch);
-    if (!opcode_ptr.ok()) {
-      break;  // unreachable after the avail check; be safe
-    }
-    const uint8_t opcode = **opcode_ptr;
+  while (n < max_uops && cursor < in_frame && cursor < avail) {
+    const uint8_t opcode = bytes[cursor];
     const uint32_t length = InstructionLength(opcode);
     if (length == 0) {
       // Invalid opcode: record a faulting uop so execution reproduces the
       // interpreter's guest fault at exactly this pc.
-      Uop u;
-      u.op = kUopInvalid;
-      u.offset = static_cast<uint32_t>(cursor);
-      u.len = 1;
-      block.uops.push_back(u);
-      crc = Crc32Update(crc, ByteSpan(*opcode_ptr, 1));
+      Uop invalid;
+      invalid.offset = static_cast<uint32_t>(cursor);
+      uops[n++] = invalid;
       cursor += 1;
       break;
     }
     if (cursor + length > avail) {
       break;  // instruction straddles the fetch window; leave it to the slow path
     }
-    auto insn_ptr = store.ReadPtr(phys + cursor, length, scratch);
-    if (!insn_ptr.ok()) {
-      break;
+    const uint8_t* insn = bytes + cursor;
+    uint8_t scratch[16];
+    const bool straddles = cursor + length > in_frame;
+    if (straddles) {
+      auto gathered = store.ReadPtr(phys + cursor, length, scratch);
+      if (!gathered.ok()) {
+        break;  // unreachable after the avail clamp; be safe
+      }
+      insn = *gathered;
     }
-    const uint8_t* insn = *insn_ptr;
-    block.uops.push_back(DecodeOne(insn, opcode, length, static_cast<uint32_t>(cursor)));
-    crc = Crc32Update(crc, ByteSpan(insn, length));
+    uops[n++] = DecodeOne(insn, opcode, length, static_cast<uint32_t>(cursor));
     cursor += length;
-    if (((phys + cursor - 1) >> 12) != frame) {
+    if (straddles) {
       block.ends_in_frame = false;  // last instruction leaked into the next frame
       break;
     }
@@ -193,8 +197,8 @@ DecodedBlock DecodeBlock(const FrameStore& store, uint64_t phys, uint64_t avail,
       break;
     }
   }
+  block.uops.assign(uops, n);
   block.byte_len = static_cast<uint32_t>(cursor);
-  block.src_crc = crc;
   block.uop_digest = UopDigest(block.uops);
   return block;
 }

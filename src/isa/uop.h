@@ -6,11 +6,10 @@
 // and the immediate already sign-extended (or, for branches, the rel32
 // displacement) in a fixed 16-byte record. A DecodedBlock is one guest basic
 // block's worth of uops plus the metadata the caches need to validate and
-// share it: the CRC of the encoded bytes it was decoded from (stale-alias
-// guard for the cross-VM shared cache), a digest of the uop array itself
-// (corruption guard, drilled by the interp.blockcache fault point), and
-// whether the block stayed inside its starting 4 KiB frame (the
-// shareability condition — see src/isa/block_cache.h).
+// share it: a digest of the uop array (corruption guard, drilled by the
+// interp.blockcache fault point) and whether the block stayed inside its
+// starting 4 KiB frame (the shareability condition — see
+// src/isa/block_cache.h).
 //
 // Uops are position-independent: branch displacements stay relative and
 // every uop records its byte offset from the block start, so one decoded
@@ -20,6 +19,7 @@
 #ifndef IMKASLR_SRC_ISA_UOP_H_
 #define IMKASLR_SRC_ISA_UOP_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -31,6 +31,10 @@ namespace imk {
 // Sentinel op for an undecodable opcode byte: executing it reproduces the
 // interpreter's "invalid opcode" guest fault at the same pc.
 inline constexpr uint8_t kUopInvalid = 0xff;
+
+// Longest block DecodeBlock builds, in uops: caps runaway straight-line
+// blocks (nop sleds over zero frames) and sizes its stack buffer.
+inline constexpr uint32_t kMaxBlockUops = 128;
 
 struct Uop {
   uint8_t op = kUopInvalid;  // Opcode value, or kUopInvalid
@@ -66,16 +70,16 @@ class UopArray {
  public:
   static constexpr uint32_t kInline = 4;
 
-  void push_back(const Uop& u) {
-    if (spill_.empty() && size_ < kInline) {
-      inline_[size_++] = u;
-      return;
+  // Replaces the contents with uops[0, n): inline when they fit, else one
+  // exactly sized spill allocation.
+  void assign(const Uop* uops, size_t n) {
+    size_ = static_cast<uint32_t>(n);
+    if (n <= kInline) {
+      spill_.clear();
+      std::copy(uops, uops + n, inline_);
+    } else {
+      spill_.assign(uops, uops + n);
     }
-    if (spill_.empty()) {
-      spill_.assign(inline_, inline_ + size_);
-    }
-    spill_.push_back(u);
-    ++size_;
   }
 
   const Uop* data() const { return spill_.empty() ? inline_ : spill_.data(); }
@@ -92,7 +96,6 @@ class UopArray {
 struct DecodedBlock {
   UopArray uops;
   uint32_t byte_len = 0;   // encoded bytes the block covers
-  uint32_t src_crc = 0;    // Crc32 of those encoded bytes
   uint64_t uop_digest = 0; // UopDigest over `uops` at build time
   // True when every encoded byte lies inside the 4 KiB frame the block
   // starts in: the precondition for cross-VM sharing (a straddling block
@@ -108,14 +111,16 @@ struct DecodedBlock {
 // the grabber falls back to a fresh slow-path decode.
 uint64_t UopDigest(const UopArray& uops);
 
-// Decodes one basic block from guest-physical `phys`. `avail` bounds the
-// contiguously translatable bytes from `phys` (the fetch window: both the
-// linear map's remaining span and RAM size); decoding stops before any
-// instruction that would not fit. `max_uops` caps runaway straight-line
-// blocks (nop sleds over zero frames). The block ends at the first
-// block-terminating instruction, at an invalid opcode (recorded as a
-// kUopInvalid uop), at the frame edge, or at the cap. Returns a block with
-// zero uops iff the very first instruction does not fit in `avail`.
+// Decodes one basic block from guest-physical `phys` in one pass over the
+// frame's bytes. `avail` bounds the contiguously translatable bytes from
+// `phys` (the fetch window: both the linear map's remaining span and RAM
+// size); decoding stops before any instruction that would not fit.
+// `max_uops` caps the block, and is itself clamped to kMaxBlockUops. The
+// block ends at the first block-terminating instruction, at an invalid
+// opcode (recorded as a kUopInvalid uop), at the frame edge (a last
+// instruction straddling it is kept, with ends_in_frame false), or at the
+// cap. Returns a block with zero uops iff the very first instruction does
+// not fit in `avail` (or `max_uops` is 0).
 DecodedBlock DecodeBlock(const FrameStore& store, uint64_t phys, uint64_t avail,
                          uint32_t max_uops);
 

@@ -49,6 +49,8 @@ enum class LockRank : uint32_t {
   // ---- per-VM guest memory ----
   kFrameStoreFaultShard = 60,  // FrameStore CoW fault shards (64 siblings)
   kFrameStoreOwners = 70,      // FrameStore shared-mapping owner pins
+  kFrameArenaPool = 75,        // idle guest-RAM arenas (leaf: held only
+                               // around a free-list push or pop)
 
   // ---- innermost: leaf services callable from anywhere above ----
   kFaultInjector = 80,    // FaultInjector rule/counter state
@@ -87,6 +89,7 @@ inline constexpr LockRankInfo kLockRankTable[] = {
     {LockRank::kFrameStoreFaultShard, "frame-store-fault-shard",
      "FrameStore per-shard frame state + read-pointer transitions"},
     {LockRank::kFrameStoreOwners, "frame-store-owners", "FrameStore shared-mapping owner pins"},
+    {LockRank::kFrameArenaPool, "frame-arena-pool", "FrameStore process-wide idle arena list"},
     {LockRank::kFaultInjector, "fault-injector", "FaultInjector rules, seeds, hit counters"},
     {LockRank::kTraceRegistry, "trace-registry",
      "imktrace thread-ring + metrics-shard registry; scrape/export serialization"},

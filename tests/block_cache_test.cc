@@ -1,9 +1,10 @@
 // Predecoded block-cache engine tests: bit-identity against the legacy
 // switch-loop interpreter (registers, memory, stats, i-cache model),
 // self-modifying-code invalidation through the frame-version protocol, the
-// interp.blockcache:corrupt grab-time integrity drill, and a multi-threaded
-// SharedBlockCache storm (suite names carry "BlockCache" so the TSan and
-// race-audit CI filters pick them up).
+// interp.blockcache:corrupt grab-time integrity drill, a multi-threaded
+// SharedBlockCache storm, the data TLBs over paged memory, and DecodeBlock's
+// edge cases (suite names carry
+// "BlockCache" so the TSan and race-audit CI filters pick them up).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -455,6 +456,167 @@ TEST(BlockCacheFaultTest, CorruptDigestFallsBackToFreshDecode) {
   EXPECT_EQ(sum3, 4950u);
   EXPECT_EQ(third.instructions, first.instructions);
   EXPECT_EQ(third.block_cache_invalidations, 0u);
+}
+
+// ---- software data TLBs over paged (CoW) memory ----
+
+TEST(BlockCacheTlbTest, ReadAfterFirstWriteToZeroFrameSeesTheWrite) {
+  // A zero frame reads the store's shared zero frame until its first write
+  // materializes it. A read-TLB entry filled before that write must not
+  // keep serving the zero frame afterwards.
+  Assembler a(kCodeVaddr);
+  a.LoadI(3, 0x40000);
+  a.Ld64(4, 3, 0);  // fills the read TLB over the still-zero frame
+  a.LoadI(5, 0x1234);
+  a.St64(3, 5, 8);  // first write: zero -> dirty
+  a.Ld64(6, 3, 8);
+  a.Halt();
+  FrameStore store(kRamSize);
+  ASSERT_TRUE(store.Write(kCodeVaddr, ByteSpan(a.TakeCode())).ok());
+  ASSERT_EQ(store.StateOf(0x40000 / FrameStore::kFrameBytes), FrameStore::FrameState::kZero);
+  LinearMap map;
+  map.virt_start = 0;
+  map.phys_start = 0;
+  map.size = kRamSize;
+  Interpreter interp(store, map);
+  interp.set_block_cache(true);
+  auto result = interp.Run(kCodeVaddr, kStackTop, 1 << 20);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(interp.reg(4), 0u);
+  EXPECT_EQ(interp.reg(6), 0x1234u);
+}
+
+// ---- DecodeBlock, called directly ----
+
+void ExpectSameUop(const Uop& got, const Uop& want) {
+  EXPECT_EQ(got.op, want.op);
+  EXPECT_EQ(got.rd, want.rd);
+  EXPECT_EQ(got.rs, want.rs);
+  EXPECT_EQ(got.len, want.len);
+  EXPECT_EQ(got.offset, want.offset);
+  EXPECT_EQ(got.imm, want.imm);
+}
+
+TEST(BlockCacheDecodeTest, LastInstructionStraddlesSharedToZeroFrameEdge) {
+  // Frame 0 aliases template bytes ending in four nops and the first four
+  // bytes of a 10-byte LoadI; its last six bytes lie in frame 1, which is
+  // still zero. The block keeps the straddling instruction, gathered across
+  // the edge, and is marked as leaving its frame.
+  FrameStore store(4 * FrameStore::kFrameBytes);
+  auto tmpl = std::make_shared<Bytes>(FrameStore::kFrameBytes, 0);
+  const uint64_t start = FrameStore::kFrameBytes - 8;
+  (*tmpl)[start + 4] = static_cast<uint8_t>(Opcode::kLoadI);
+  (*tmpl)[start + 5] = 3;
+  (*tmpl)[start + 6] = 0x11;
+  (*tmpl)[start + 7] = 0x22;
+  ASSERT_TRUE(store.MapShared(0, ByteSpan(*tmpl), tmpl).ok());
+  ASSERT_EQ(store.StateOf(1), FrameStore::FrameState::kZero);
+
+  const DecodedBlock block = DecodeBlock(store, start, 64, kMaxBlockUops);
+  ASSERT_EQ(block.uops.size(), 5u);
+  EXPECT_FALSE(block.ends_in_frame);
+  EXPECT_EQ(block.byte_len, 14u);
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(block.uops[i].op, static_cast<uint8_t>(Opcode::kNop));
+  }
+  const Uop& load = block.uops[4];
+  EXPECT_EQ(load.op, static_cast<uint8_t>(Opcode::kLoadI));
+  EXPECT_EQ(load.offset, 4u);
+  EXPECT_EQ(load.len, 10u);
+  EXPECT_EQ(load.rd, 3u);
+  EXPECT_EQ(load.imm, 0x2211u);
+  EXPECT_EQ(block.uop_digest, UopDigest(block.uops));
+  EXPECT_EQ(store.dirty_frames(), 0u);  // decoding never materializes
+}
+
+TEST(BlockCacheDecodeTest, InvalidOpcodeEndsBlockWithFaultingUop) {
+  FrameStore store(2 * FrameStore::kFrameBytes);
+  Assembler a(0);
+  a.Nop();
+  a.Nop();
+  a.LoadI(1, 5);
+  Bytes code = a.TakeCode();
+  code.push_back(0xee);  // no such opcode
+  code.push_back(static_cast<uint8_t>(Opcode::kNop));
+  ASSERT_TRUE(store.Write(0x100, ByteSpan(code)).ok());
+
+  const DecodedBlock block = DecodeBlock(store, 0x100, 64, kMaxBlockUops);
+  ASSERT_EQ(block.uops.size(), 4u);
+  EXPECT_EQ(block.uops[3].op, kUopInvalid);
+  EXPECT_EQ(block.uops[3].offset, 12u);
+  EXPECT_EQ(block.uops[3].len, 1u);
+  EXPECT_EQ(block.byte_len, 13u);
+  EXPECT_TRUE(block.ends_in_frame);
+}
+
+TEST(BlockCacheDecodeTest, FirstInstructionBeyondAvailGivesNoUops) {
+  FrameStore store(2 * FrameStore::kFrameBytes);
+  Assembler a(0);
+  a.LoadI(1, 5);
+  ASSERT_TRUE(store.Write(0x100, ByteSpan(a.TakeCode())).ok());
+  for (uint64_t avail : {0ull, 1ull, 9ull}) {
+    const DecodedBlock block = DecodeBlock(store, 0x100, avail, kMaxBlockUops);
+    EXPECT_TRUE(block.uops.empty()) << "avail=" << avail;
+    EXPECT_EQ(block.byte_len, 0u) << "avail=" << avail;
+  }
+  EXPECT_EQ(DecodeBlock(store, 0x100, 10, kMaxBlockUops).uops.size(), 1u);
+  // A block past the end of RAM has nothing to decode either.
+  EXPECT_TRUE(DecodeBlock(store, store.size(), 64, kMaxBlockUops).uops.empty());
+}
+
+TEST(BlockCacheDecodeTest, MaxUopsCapsAndClampsToTheDecodeBuffer) {
+  // A zero frame is a nop sled: nothing ends the block but the cap.
+  FrameStore store(2 * FrameStore::kFrameBytes);
+  const DecodedBlock three = DecodeBlock(store, 0, FrameStore::kFrameBytes, 3);
+  EXPECT_EQ(three.uops.size(), 3u);
+  EXPECT_EQ(three.byte_len, 3u);
+  EXPECT_TRUE(DecodeBlock(store, 0, FrameStore::kFrameBytes, 0).uops.empty());
+  for (uint32_t cap : {kMaxBlockUops, kMaxBlockUops + 1, 100000u}) {
+    const DecodedBlock block = DecodeBlock(store, 0, FrameStore::kFrameBytes, cap);
+    EXPECT_EQ(block.uops.size(), kMaxBlockUops) << "cap=" << cap;
+    EXPECT_EQ(block.byte_len, kMaxBlockUops) << "cap=" << cap;
+    EXPECT_EQ(block.uops[kMaxBlockUops - 1].offset, kMaxBlockUops - 1);
+  }
+}
+
+TEST(BlockCacheDecodeTest, UopsMatchDecodeOneOverTheSameBytes) {
+  // Every operand shape, straight-line, ending in a terminator.
+  Assembler a(0);
+  a.LoadI(1, 0x0123456789abcdefull);
+  a.Mov(2, 1);
+  a.Add(2, 1);
+  a.Sub(3, 2);
+  a.Xor(4, 3);
+  a.Mul(5, 4);
+  a.ShrI(5, 7);
+  a.ShlI(6, 70);
+  a.AndI(6, 0xfffff000u);
+  a.AddI(7, -12345);
+  a.Ld64(8, 1, -16);
+  a.St64(1, 8, 4096);
+  a.Ld8(9, 1, 3);
+  a.St8(1, 9, -3);
+  a.Push(9);
+  a.Pop(10);
+  a.RdPc(11);
+  a.Halt();
+  const Bytes code = a.TakeCode();
+  FrameStore store(2 * FrameStore::kFrameBytes);
+  ASSERT_TRUE(store.Write(0x40, ByteSpan(code)).ok());
+
+  const DecodedBlock block = DecodeBlock(store, 0x40, 4096, kMaxBlockUops);
+  ASSERT_EQ(block.uops.size(), 18u);
+  EXPECT_EQ(block.byte_len, code.size());
+  EXPECT_TRUE(block.ends_in_frame);
+  EXPECT_EQ(block.uop_digest, UopDigest(block.uops));
+  uint32_t offset = 0;
+  for (size_t i = 0; i < block.uops.size(); ++i) {
+    const uint8_t opcode = code[offset];
+    const uint32_t length = InstructionLength(opcode);
+    ExpectSameUop(block.uops[i], DecodeOne(code.data() + offset, opcode, length, offset));
+    offset += length;
+  }
+  EXPECT_EQ(offset, code.size());
 }
 
 }  // namespace

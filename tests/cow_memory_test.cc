@@ -1,7 +1,11 @@
-// Paged copy-on-write guest memory: FrameStore fault edge cases, bit-identity
-// of the zero-copy CoW load against a flat serial reference across the boot
-// matrix, and boot-storm determinism across thread counts.
+// Paged copy-on-write guest memory: FrameStore fault edge cases, arena
+// recycling (no byte of a destroyed store is ever visible to the next one),
+// bit-identity of the zero-copy CoW load against a flat serial reference
+// across the boot matrix, and boot-storm determinism across thread counts.
+#include <atomic>
 #include <cstring>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -215,6 +219,150 @@ TEST(FrameStoreTest, OutOfRangeAccessesFail) {
   EXPECT_FALSE(store.WritablePtr(2 * kFrame, 1).ok());
   EXPECT_FALSE(store.Read(kFrame, buf.data(), 2 * kFrame).ok());
   EXPECT_FALSE(store.Zero(0, 3 * kFrame).ok());
+}
+
+TEST(FrameStoreTest, FramesArePageAlignedAndRamEndStaysBounded) {
+  // A partial last frame: RAM ends 100 bytes into frame 3.
+  FrameStore store(3 * kFrame + 100);
+  ASSERT_TRUE(store.Write(kFrame + 5, ByteSpan(Pattern(10, 3))).ok());
+  ASSERT_EQ(store.StateOf(1), FrameStore::FrameState::kDirty);
+  // One guest frame is exactly one host page, dirty or zero.
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(store.FrameReadPtr(1)) % kFrame, 0u);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(store.FrameReadPtr(0)) % kFrame, 0u);
+  EXPECT_TRUE(store.WritablePtr(store.size() - 1, 1).ok());
+  auto past = store.WritablePtr(store.size(), 1);
+  ASSERT_FALSE(past.ok());
+  EXPECT_EQ(past.status().code(), ErrorCode::kOutOfRange);
+}
+
+// Reads all of `store` and returns the first nonzero byte's address, or -1.
+int64_t FirstNonzeroByte(const FrameStore& store) {
+  Bytes chunk(64 * kFrame);
+  for (uint64_t phys = 0; phys < store.size(); phys += chunk.size()) {
+    const uint64_t len = std::min<uint64_t>(chunk.size(), store.size() - phys);
+    if (!store.Read(phys, chunk.data(), len).ok()) {
+      return static_cast<int64_t>(phys);
+    }
+    for (uint64_t i = 0; i < len; ++i) {
+      if (chunk[i] != 0) {
+        return static_cast<int64_t>(phys + i);
+      }
+    }
+  }
+  return -1;
+}
+
+TEST(FrameStoreTest, RecycledArenaNeverShowsAPreviousVmsBytes) {
+  // Store A loads a kaslr kernel: its dirty frames hold relocated text, so
+  // any byte of them leaking into the next store would hand that VM A's
+  // slide. A then reverts one dirty frame to shared (its arena slot stays
+  // resident) and dies; store B of the same size takes A's arena.
+  auto info = BuildKernel(KernelConfig::Make(KernelProfile::kAws, RandoMode::kKaslr, 0.02));
+  ASSERT_TRUE(info.ok());
+  auto tmpl = BuildImageTemplate(ByteSpan(info->vmlinux), TemplateOptions{});
+  ASSERT_TRUE(tmpl.ok());
+  // A size no other store in this process uses, so B can only take A's arena.
+  constexpr uint64_t kMem = (96ull << 20) + 5 * kFrame;
+  std::vector<uint64_t> a_dirty;
+  const uint8_t* a_last_slot = nullptr;
+  {
+    GuestMemory a(kMem);
+    DirectBootParams params;
+    params.requested = RandoMode::kKaslr;
+    Rng rng(4242);
+    auto loaded = DirectLoadFromTemplate(a, *tmpl, &info->relocs, params, rng);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ASSERT_NE(loaded->choice.virt_slide, 0u);
+    for (uint64_t f = 0; f < a.frames().frame_count(); ++f) {
+      if (a.frames().StateOf(f) == FrameStore::FrameState::kDirty) {
+        a_dirty.push_back(f);
+      }
+    }
+    ASSERT_GE(a_dirty.size(), 2u);
+    auto revert = std::make_shared<Bytes>(Pattern(kFrame, 41));
+    ASSERT_TRUE(a.MapShared(a_dirty.front() * kFrame, ByteSpan(*revert), revert).ok());
+    a_last_slot = a.frames().FrameReadPtr(a_dirty.back());
+  }
+
+  FrameStore b(kMem);
+  EXPECT_EQ(FirstNonzeroByte(b), -1);
+  EXPECT_EQ(b.dirty_frames(), 0u);
+  // Materializing one byte of a frame A dirtied (or reverted) must not
+  // expose the rest of A's bytes in that frame.
+  Bytes frame(kFrame);
+  for (uint64_t f : a_dirty) {
+    const uint8_t one = 0x5a;
+    ASSERT_TRUE(b.Write(f * kFrame + 123, ByteSpan(&one, 1)).ok());
+    ASSERT_TRUE(b.Read(f * kFrame, frame.data(), kFrame).ok());
+    frame[123] = 0;
+    for (uint64_t i = 0; i < kFrame; ++i) {
+      ASSERT_EQ(frame[i], 0) << "frame " << f << " byte " << i << " leaked from store A";
+    }
+  }
+  // B really did take A's arena (otherwise the checks above prove nothing).
+  EXPECT_EQ(b.FrameReadPtr(a_dirty.back()), a_last_slot);
+}
+
+TEST(FrameStoreTest, ConcurrentRecycleTakesZeroedArenas) {
+  // Four threads create, write, read and destroy stores of one size, so
+  // arenas pass between threads through the idle list. Every store must
+  // read all zeros when taken and read back exactly its own writes.
+  constexpr uint64_t kFrames = 67;
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 40;
+  std::atomic<int> dirty_takes{0};
+  std::atomic<int> bad_reads{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        FrameStore store(kFrames * kFrame);
+        if (FirstNonzeroByte(store) != -1) {
+          dirty_takes.fetch_add(1);
+        }
+        const uint8_t salt = static_cast<uint8_t>(t * kRounds + round);
+        const Bytes full = Pattern(kFrame, salt);
+        for (uint64_t f = (round % 3); f < kFrames; f += 3) {
+          if (!store.Write(f * kFrame, ByteSpan(full)).ok()) {
+            bad_reads.fetch_add(1);
+          }
+        }
+        const uint8_t one = static_cast<uint8_t>(salt | 1);
+        if (!store.Write(((round + 1) % 3) * kFrame + 7, ByteSpan(&one, 1)).ok()) {
+          bad_reads.fetch_add(1);
+        }
+        Bytes back(kFrame);
+        for (uint64_t f = 0; f < kFrames; ++f) {
+          if (!store.Read(f * kFrame, back.data(), kFrame).ok()) {
+            bad_reads.fetch_add(1);
+            continue;
+          }
+          Bytes want(kFrame, 0);
+          if (f % 3 == static_cast<uint64_t>(round % 3)) {
+            want = full;
+          } else if (f == static_cast<uint64_t>((round + 1) % 3)) {
+            want[7] = one;
+          }
+          if (back != want) {
+            bad_reads.fetch_add(1);
+          }
+        }
+        if (round % 2 == 0) {
+          // Revert a dirty frame so teardown has a resident non-dirty slot.
+          auto src = std::make_shared<Bytes>(Pattern(kFrame, salt ^ 0xff));
+          if (!store.MapShared(static_cast<uint64_t>(round % 3) * kFrame, ByteSpan(*src), src)
+                   .ok()) {
+            bad_reads.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& worker : workers) {
+    worker.join();
+  }
+  EXPECT_EQ(dirty_takes.load(), 0);
+  EXPECT_EQ(bad_reads.load(), 0);
 }
 
 // ---- paged-vs-flat bit-identity across the boot matrix ----
